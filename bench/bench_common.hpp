@@ -532,7 +532,7 @@ inline TransferMicroResult run_transfer_micro(const TransferMicroOptions& opt) {
     const auto* s = snap.find(name);
     return s != nullptr ? s->value : 0.0;
   };
-  const runtime::RuntimeStats stats0 = rt.stats();
+  const double batches0 = counter("dhl.runtime.batches_to_fpga");
   const double copy0 = counter("dhl.copy_bytes");
   const double zero0 = counter("dhl.zero_copy_bytes");
   const std::uint64_t hits0 = rt.batch_pools().pool(0).hits();
@@ -541,7 +541,7 @@ inline TransferMicroResult run_transfer_micro(const TransferMicroOptions& opt) {
   for (int i = 0; i < opt.timed_rounds; ++i) bench.round(true);
   const std::uint64_t host_ns = bench.host_ns();
 
-  const runtime::RuntimeStats stats1 = rt.stats();
+  const double batches1 = counter("dhl.runtime.batches_to_fpga");
   const double copied = counter("dhl.copy_bytes") - copy0;
   const double zeroed = counter("dhl.zero_copy_bytes") - zero0;
   const double hits =
@@ -551,7 +551,7 @@ inline TransferMicroResult run_transfer_micro(const TransferMicroOptions& opt) {
 
   TransferMicroResult r;
   r.packets = static_cast<std::uint64_t>(opt.timed_rounds) * opt.burst;
-  r.batches = stats1.batches_to_fpga - stats0.batches_to_fpga;
+  r.batches = static_cast<std::uint64_t>(batches1 - batches0);
   r.ns_per_pkt = static_cast<double>(host_ns) / static_cast<double>(r.packets);
   r.batches_per_sec =
       host_ns > 0

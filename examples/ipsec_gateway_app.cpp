@@ -87,7 +87,10 @@ double run_dhl_version() {
   std::printf("  encapsulated %llu packets (FPGA did the crypto; %llu DMA "
               "batches)\n",
               static_cast<unsigned long long>(proc->stats().encapsulated),
-              static_cast<unsigned long long>(rt.stats().batches_to_fpga));
+              static_cast<unsigned long long>(
+                  rt.telemetry()
+                      .metrics.counter("dhl.runtime.batches_to_fpga")
+                      ->value()));
   return nf::forwarded_wire_gbps(*port, kFrameLen, milliseconds(6));
 }
 

@@ -113,6 +113,8 @@ int main() {
               static_cast<unsigned long long>(nids->stats().alerts));
   std::printf("  hardware function table: %zu entries, OBQ drops: %llu\n",
               rt.hardware_function_table().size(),
-              static_cast<unsigned long long>(rt.stats().obq_drops));
+              static_cast<unsigned long long>(
+                  rt.telemetry().metrics.counter("dhl.runtime.obq_drops")
+                      ->value()));
   return 0;
 }

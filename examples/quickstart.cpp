@@ -86,8 +86,13 @@ int main(int argc, char** argv) {
     out[i]->release();
   }
   std::printf("runtime stats: %llu pkts to FPGA in %llu batches\n",
-              static_cast<unsigned long long>(rt.stats().pkts_to_fpga),
-              static_cast<unsigned long long>(rt.stats().batches_to_fpga));
+              static_cast<unsigned long long>(
+                  rt.telemetry().metrics.counter("dhl.runtime.pkts_to_fpga")
+                      ->value()),
+              static_cast<unsigned long long>(
+                  rt.telemetry()
+                      .metrics.counter("dhl.runtime.batches_to_fpga")
+                      ->value()));
 
   // The same numbers, as the telemetry registry sees them (Prometheus text
   // exposition; see DESIGN.md "Observability").

@@ -71,30 +71,18 @@ void Distributor::drop_corrupt_batch(fpga::DmaBatchPtr batch) {
   } else if (batch->acc_gen != 0) {
     metrics_.stale_acc_batches->add(1);
   }
-  if (tenants_ != nullptr) tenants_->retire_batch(*batch);
-  auto& pkts = batch->pkts();
-  for (Mbuf* m : pkts) {
-    --metrics_.in_flight;
-    if (ledger_ != nullptr) ledger_->on_drop(m, LedgerDrop::kCrc);
-    if (tenants_ != nullptr) tenants_->count_drop(m->nf_id());
-    m->release();
-  }
+  metrics_.tenants.retire_batch(*batch);
+  const std::size_t n = batch->pkts().size();
+  metrics_.in_flight -= n;
   metrics_.crc_drop_batches->add(1);
-  metrics_.crc_drop_pkts->add(pkts.size());
-  telemetry_.recorder.log(telemetry::FlightComponent::kDistributor, sim_.now(),
-                          telemetry::FlightEventKind::kCrcDrop, batch->hf_name,
-                          static_cast<std::int16_t>(batch->acc_id()),
-                          static_cast<std::int32_t>(pkts.size()),
-                          batch->batch_id);
-  DHL_WARN("dhl", "dropping corrupt batch " << batch->batch_id << " ("
-                                            << pkts.size() << " pkts)");
+  metrics_.drop_all(batch->pkts(), LedgerDrop::kCrc, batch->batch_id);
+  DHL_WARN("dhl", "dropping corrupt batch " << batch->batch_id << " (" << n
+                                            << " pkts)");
   pools_.recycle(std::move(batch));
 }
 
 void Distributor::enqueue_completion(int socket, fpga::DmaBatchPtr batch) {
-  if (ledger_ != nullptr) {
-    ledger_->on_batch_stage(*batch, LedgerStage::kDmaRx);
-  }
+  metrics_.ledger.on_batch_stage(*batch, LedgerStage::kDmaRx);
   // Integrity gate at the DMA boundary (untimed: this hook runs inside the
   // delivery event, not the RX core's timed poll loop).
   if (!batch_intact(*batch)) {
@@ -182,7 +170,7 @@ sim::PollResult Distributor::poll(int socket) {
     // Quota retire mirrors the replica retire: the tenant's in-flight
     // bytes/batch budget frees as soon as the batch completes the round
     // trip, before per-packet routing decides each packet's fate.
-    if (tenants_ != nullptr) tenants_->retire_batch(*batch);
+    metrics_.tenants.retire_batch(*batch);
 
     // Zero-alloc decapsulation: walk the wire records with a cursor
     // instead of materializing parse()'s per-batch view vector.
@@ -195,7 +183,7 @@ sim::PollResult Distributor::poll(int socket) {
                     "batch record/mbuf count mismatch");
       Mbuf* m = pkts[records++];
       --metrics_.in_flight;
-      if (ledger_ != nullptr) ledger_->on_stage(m, LedgerStage::kDistributor);
+      metrics_.ledger.on_stage(m, LedgerStage::kDistributor);
       metrics_.pkts_from_fpga->add(1);
       cycles += rt.distributor_per_pkt_cycles;
       RuntimeMetrics::NfAccCounters& c =
@@ -225,10 +213,7 @@ sim::PollResult Distributor::poll(int socket) {
       // Isolation: route on the wire-format nf_id (paper IV-B1).
       const NfId nf = v.header.nf_id;
       if (nf >= nfs_.size()) {
-        metrics_.obq_drops->add(1);
-        if (ledger_ != nullptr) ledger_->on_drop(m, LedgerDrop::kObq);
-        if (tenants_ != nullptr) tenants_->count_drop(m->nf_id());
-        m->release();
+        metrics_.drop(m, LedgerDrop::kObq);
         continue;
       }
       if (deliveries == nullptr) deliveries = take_buffer(state);
@@ -282,38 +267,13 @@ sim::PollResult Distributor::poll(int socket) {
           const bool stages_on = telemetry_.stages.enabled();
           const Picos now = sim_.now();
           for (const Delivery& d : **shared) {
-            NfInfo& info = nfs_[d.nf];
-            if (!info.obq->enqueue(d.m)) {
-              metrics_.obq_drops->add(1);
-              info.obq_drops->add(1);
-              if (ledger_ != nullptr) ledger_->on_drop(d.m, LedgerDrop::kObq);
-              if (tenants_ != nullptr) {
-                tenants_->count_drop(static_cast<NfId>(d.nf));
-              }
-              telemetry_.recorder.log(telemetry::FlightComponent::kDistributor,
-                                      now, telemetry::FlightEventKind::kDrop,
-                                      "obq", static_cast<std::int16_t>(d.nf));
-              d.m->release();
-            } else {
-              if (ledger_ != nullptr) ledger_->on_delivered(d.m);
-              if (tenants_ != nullptr) {
-                tenants_->count_delivered(static_cast<NfId>(d.nf));
-              }
-              if (stages_on &&
-                  d.m->rx_timestamp() != netio::kNoRxTimestamp) {
-                if (d.m->stage_ts() != netio::kNoRxTimestamp &&
-                    d.m->stage_ts() >= d.m->rx_timestamp()) {
-                  telemetry_.stages.record(
-                      telemetry::Stage::kIbqWait,
-                      d.m->stage_ts() - d.m->rx_timestamp());
-                }
-                if (now >= d.m->rx_timestamp()) {
-                  telemetry_.stages.record_e2e(d.nf,
-                                               now - d.m->rx_timestamp());
-                }
-              }
+            if (metrics_.deliver(d.nf, d.m, now) && stages_on &&
+                d.m->rx_timestamp() != netio::kNoRxTimestamp &&
+                d.m->stage_ts() != netio::kNoRxTimestamp &&
+                d.m->stage_ts() >= d.m->rx_timestamp()) {
+              telemetry_.stages.record(telemetry::Stage::kIbqWait,
+                                       d.m->stage_ts() - d.m->rx_timestamp());
             }
-            info.obq_depth->set(static_cast<double>(info.obq->count()));
           }
           // Recycle the buffer for a later iteration on this socket.
           (*shared)->clear();

@@ -80,9 +80,10 @@ std::uint64_t FaultInjector::injected(fpga::FaultSite site) const {
   return injected_by_site_[static_cast<std::size_t>(site)];
 }
 
-FallbackRouter::FallbackRouter(std::vector<NfInfo>& nfs,
+FallbackRouter::FallbackRouter(sim::Simulator& simulator,
+                               telemetry::Telemetry& telemetry,
                                RuntimeMetrics& metrics)
-    : nfs_{nfs}, metrics_{metrics} {}
+    : sim_{simulator}, telemetry_{telemetry}, metrics_{metrics} {}
 
 void FallbackRouter::register_fallback(netio::NfId nf_id,
                                        const std::string& hf_name,
@@ -140,36 +141,13 @@ bool FallbackRouter::process_batch(netio::NfId nf_id,
 
 void FallbackRouter::deliver(netio::NfId nf_id, netio::Mbuf* m) {
   metrics_.fallback_pkts->add(1);
-  if (ledger_ != nullptr) ledger_->on_stage(m, LedgerStage::kFallback);
-  if (nf_id >= nfs_.size()) {
-    metrics_.obq_drops->add(1);
-    if (ledger_ != nullptr) ledger_->on_drop(m, LedgerDrop::kObq);
-    if (tenants_ != nullptr) tenants_->count_drop(nf_id);
-    m->release();
-    return;
-  }
-  NfInfo& nf = nfs_[nf_id];
-  if (!nf.obq->enqueue(m)) {
-    metrics_.obq_drops->add(1);
-    nf.obq_drops->add(1);
-    if (ledger_ != nullptr) ledger_->on_drop(m, LedgerDrop::kObq);
-    if (tenants_ != nullptr) tenants_->count_drop(nf_id);
-    m->release();
-  } else {
-    nf.obq_depth->set(static_cast<double>(nf.obq->count()));
-    if (ledger_ != nullptr) ledger_->on_delivered(m);
-    if (tenants_ != nullptr) tenants_->count_delivered(nf_id);
-    if (sim_ != nullptr && telemetry_ != nullptr &&
-        telemetry_->stages.enabled() &&
-        m->rx_timestamp() != netio::kNoRxTimestamp) {
-      const Picos now = sim_->now();
-      if (now >= m->rx_timestamp()) {
-        // The fallback side path is the packet's whole post-ingress life.
-        telemetry_->stages.record(telemetry::Stage::kFallback,
-                                  now - m->rx_timestamp());
-        telemetry_->stages.record_e2e(nf_id, now - m->rx_timestamp());
-      }
-    }
+  metrics_.ledger.on_stage(m, LedgerStage::kFallback);
+  const Picos now = sim_.now();
+  if (metrics_.deliver(nf_id, m, now) && telemetry_.stages.enabled() &&
+      m->rx_timestamp() != netio::kNoRxTimestamp && now >= m->rx_timestamp()) {
+    // The fallback side path is the packet's whole post-ingress life.
+    telemetry_.stages.record(telemetry::Stage::kFallback,
+                             now - m->rx_timestamp());
   }
 }
 

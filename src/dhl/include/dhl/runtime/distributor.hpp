@@ -15,9 +15,7 @@
 #include "dhl/fpga/batch.hpp"
 #include "dhl/runtime/batch_pool.hpp"
 #include "dhl/runtime/hw_function_table.hpp"
-#include "dhl/runtime/ledger.hpp"
 #include "dhl/runtime/runtime_metrics.hpp"
-#include "dhl/runtime/tenant.hpp"
 #include "dhl/runtime/types.hpp"
 #include "dhl/sim/lcore.hpp"
 #include "dhl/sim/simulator.hpp"
@@ -48,12 +46,6 @@ class Distributor {
   std::size_t completions_pending(int socket) const {
     return sockets_[static_cast<std::size_t>(socket)].pending();
   }
-
-  /// Packet-lifecycle ledger (null = not auditing).  Owned by the facade.
-  void set_ledger(LifecycleLedger* ledger) { ledger_ = ledger; }
-  /// Tenant registry for quota retirement and per-tenant terminal counts
-  /// (null = no tenancy).  Owned by the facade.
-  void set_tenants(TenantRegistry* tenants) { tenants_ = tenants; }
 
   /// Test hook: identities of the pooled delivery buffers currently parked
   /// on `socket`'s free list.  Pins the recycling behaviour -- steady-state
@@ -110,7 +102,7 @@ class Distributor {
   /// count, and no record claims more payload than its mbuf can hold.
   bool batch_intact(const fpga::DmaBatch& batch) const;
   /// Drop a batch that failed the gate: retire its outstanding bytes, note
-  /// the replica failure, release the parked mbufs, count, recycle.
+  /// the replica failure, drop the parked mbufs at the kCrc site, recycle.
   void drop_corrupt_batch(fpga::DmaBatchPtr batch);
 
   sim::Simulator& sim_;
@@ -120,8 +112,6 @@ class Distributor {
   HwFunctionTable& table_;
   std::vector<NfInfo>& nfs_;
   BatchPoolSet& pools_;
-  LifecycleLedger* ledger_ = nullptr;
-  TenantRegistry* tenants_ = nullptr;
   std::vector<SocketState> sockets_;
   /// ring.size() - 1; rings are num_sockets copies of the same size.
   std::uint64_t ring_mask_ = 0;

@@ -115,7 +115,8 @@ using FallbackBatchFn = std::function<void(std::span<netio::Mbuf* const>)>;
 
 class FallbackRouter {
  public:
-  FallbackRouter(std::vector<NfInfo>& nfs, RuntimeMetrics& metrics);
+  FallbackRouter(sim::Simulator& simulator, telemetry::Telemetry& telemetry,
+                 RuntimeMetrics& metrics);
 
   FallbackRouter(const FallbackRouter&) = delete;
   FallbackRouter& operator=(const FallbackRouter&) = delete;
@@ -143,30 +144,15 @@ class FallbackRouter {
   bool process_batch(netio::NfId nf_id, const std::string& hf_name,
                      std::span<netio::Mbuf* const> pkts);
 
-  /// Packet-lifecycle ledger (null = not auditing).  Owned by the facade.
-  void set_ledger(LifecycleLedger* ledger) { ledger_ = ledger; }
-  /// Tenant registry for per-tenant terminal counts (null = no tenancy).
-  void set_tenants(TenantRegistry* tenants) { tenants_ = tenants; }
-
-  /// Introspection wiring (both null = not recording): fallback deliveries
-  /// record the kFallback stage and the packet's end-to-end latency.
-  void set_introspection(sim::Simulator* simulator,
-                         telemetry::Telemetry* telemetry) {
-    sim_ = simulator;
-    telemetry_ = telemetry;
-  }
-
  private:
-  /// Post-callback bookkeeping for one served packet: fallback counters,
-  /// ledger stage, OBQ delivery (or drop accounting), stage/e2e records.
+  /// Post-callback bookkeeping for one served packet: fallback counter and
+  /// ledger stage, then the shared OBQ terminal (RuntimeMetrics::deliver);
+  /// a delivered packet also records the kFallback stage.
   void deliver(netio::NfId nf_id, netio::Mbuf* m);
 
-  std::vector<NfInfo>& nfs_;
+  sim::Simulator& sim_;
+  telemetry::Telemetry& telemetry_;
   RuntimeMetrics& metrics_;
-  LifecycleLedger* ledger_ = nullptr;
-  TenantRegistry* tenants_ = nullptr;
-  sim::Simulator* sim_ = nullptr;
-  telemetry::Telemetry* telemetry_ = nullptr;
   std::map<std::pair<netio::NfId, std::string>, FallbackFn> fns_;
   std::map<std::pair<netio::NfId, std::string>, FallbackBatchFn> batch_fns_;
 };

@@ -12,7 +12,8 @@
 //   dma.rx -> distributor -> obq -> nf
 //
 // and must end its life in exactly one terminal -- delivered to an OBQ, or
-// counted at one of the drop sites (unready, submit, crc, obq, oversize).
+// counted at one of the drop sites (kDropSites).  The runtime reaches both
+// terminals only through RuntimeMetrics' drop/drop_all/deliver seam.
 // audit() reports anything else: leaks (tracked but never terminated),
 // double terminals, premature releases (freed while the ledger still has
 // the packet in flight), and terminal events for packets never tracked.
@@ -60,8 +61,7 @@ enum class LedgerStage : std::uint8_t {
   kCount,
 };
 
-/// Drop sites (terminals).  Each mirrors an existing dhl.runtime.* /
-/// dhl.batch.* drop counter.
+/// Drop sites (terminals), one row each in kDropSites.
 enum class LedgerDrop : std::uint8_t {
   kUnready,   // unknown/unready acc_id, or an unload raced an open batch
   kSubmit,    // retry budget + redirect + fallback all exhausted
@@ -72,12 +72,63 @@ enum class LedgerDrop : std::uint8_t {
   kCount,
 };
 
+inline constexpr std::size_t kDropSiteCount =
+    static_cast<std::size_t>(LedgerDrop::kCount);
+
+/// Everything a drop site is called outside the enum: its ledger reason
+/// (dhl.ledger.dropped{reason} and audit reports, also the flight-event
+/// tag), the registry counter it is counted in, and the flight-recorder
+/// ring and kind its events land in.  RuntimeMetrics::drop() is driven
+/// entirely by this table, so a new drop site is one enum value plus one
+/// row here.
+struct DropSite {
+  LedgerDrop site;
+  const char* name;
+  const char* counter;
+  /// The counter is labelled {tenant}: TenantRegistry counts it
+  /// (count_quota_drop) instead of the drop seam.
+  bool tenant_labelled;
+  telemetry::FlightComponent component;
+  telemetry::FlightEventKind kind;
+};
+
+inline constexpr DropSite kDropSites[kDropSiteCount] = {
+    {LedgerDrop::kUnready, "unready", "dhl.runtime.unready_drops", false,
+     telemetry::FlightComponent::kPacker, telemetry::FlightEventKind::kDrop},
+    {LedgerDrop::kSubmit, "submit", "dhl.runtime.submit_drop_pkts", false,
+     telemetry::FlightComponent::kPacker, telemetry::FlightEventKind::kDrop},
+    {LedgerDrop::kCrc, "crc", "dhl.batch.crc_drop_pkts", false,
+     telemetry::FlightComponent::kDistributor,
+     telemetry::FlightEventKind::kCrcDrop},
+    {LedgerDrop::kObq, "obq", "dhl.runtime.obq_drops", false,
+     telemetry::FlightComponent::kDistributor,
+     telemetry::FlightEventKind::kDrop},
+    // The oversize counter counts every batching rejection, fallback-served
+    // packets included; the ledger only sees the real drops.
+    {LedgerDrop::kOversize, "oversize", "dhl.runtime.oversize_drops", false,
+     telemetry::FlightComponent::kPacker, telemetry::FlightEventKind::kDrop},
+    {LedgerDrop::kQuota, "quota", "dhl.tenant.quota_drops", true,
+     telemetry::FlightComponent::kPacker, telemetry::FlightEventKind::kDrop},
+};
+
+constexpr const DropSite& drop_site(LedgerDrop site) {
+  return kDropSites[static_cast<std::size_t>(site)];
+}
+
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < kDropSiteCount; ++i) {
+        if (static_cast<std::size_t>(kDropSites[i].site) != i) return false;
+      }
+      return true;
+    }(),
+    "kDropSites rows must follow LedgerDrop order");
+
 /// Ceiling on tenant lanes the ledger shards by (mirrors kMaxTenants in
 /// tenant.hpp without coupling the headers).
 inline constexpr std::size_t kLedgerTenantLanes = 16;
 
 const char* to_string(LedgerStage stage);
-const char* to_string(LedgerDrop drop);
 
 /// Result of LifecycleLedger::audit().  `clean()` is the invariant every
 /// well-behaved run must satisfy after draining: no packet still open, no
@@ -91,7 +142,7 @@ struct LedgerAudit {
 
   std::uint64_t tracked = 0;    // lifecycles opened (on_ingress)
   std::uint64_t delivered = 0;  // terminal: delivered to an OBQ
-  std::uint64_t dropped[static_cast<std::size_t>(LedgerDrop::kCount)] = {};
+  std::uint64_t dropped[kDropSiteCount] = {};
   std::uint64_t live = 0;  // still open (in flight if mid-run, leaks after)
   std::uint64_t double_track = 0;      // on_ingress on a still-open packet
   std::uint64_t double_terminal = 0;   // second terminal for one lifecycle
@@ -189,7 +240,7 @@ class LifecycleLedger final : public netio::MbufLifecycleObserver {
   std::uint64_t open_ = 0;  // lifecycles with no terminal yet
   std::uint64_t tracked_ = 0;
   std::uint64_t delivered_ = 0;
-  std::uint64_t dropped_[static_cast<std::size_t>(LedgerDrop::kCount)] = {};
+  std::uint64_t dropped_[kDropSiteCount] = {};
   std::uint64_t double_track_ = 0;
   std::uint64_t double_terminal_ = 0;
   std::uint64_t premature_release_ = 0;
@@ -205,8 +256,7 @@ class LifecycleLedger final : public netio::MbufLifecycleObserver {
 
   telemetry::Counter* tracked_counter_ = nullptr;
   telemetry::Counter* delivered_counter_ = nullptr;
-  telemetry::Counter* drop_counters_[static_cast<std::size_t>(
-      LedgerDrop::kCount)] = {};
+  telemetry::Counter* drop_counters_[kDropSiteCount] = {};
   telemetry::Counter* violation_counter_ = nullptr;
   telemetry::Gauge* live_gauge_ = nullptr;
 };

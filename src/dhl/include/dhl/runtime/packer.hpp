@@ -19,7 +19,6 @@
 #include "dhl/runtime/dispatch_policy.hpp"
 #include "dhl/runtime/fault.hpp"
 #include "dhl/runtime/hw_function_table.hpp"
-#include "dhl/runtime/ledger.hpp"
 #include "dhl/runtime/runtime_metrics.hpp"
 #include "dhl/runtime/tenant.hpp"
 #include "dhl/runtime/types.hpp"
@@ -48,11 +47,6 @@ class Packer {
   /// Software-fallback registry consulted when no replica of a hardware
   /// function is dispatchable.  Owned by the facade.
   void set_fallback_router(FallbackRouter* router) { fallback_ = router; }
-  /// Packet-lifecycle ledger (null = not auditing).  Owned by the facade.
-  void set_ledger(LifecycleLedger* ledger) { ledger_ = ledger; }
-  /// Tenant registry for quota enforcement and attribution (null = no
-  /// tenancy, the pre-daemon behavior).  Owned by the facade.
-  void set_tenants(TenantRegistry* tenants) { tenants_ = tenants; }
 
   /// The batch-size cap currently in effect for `socket` -- max_batch_bytes,
   /// or the adaptive EWMA-driven cap when adaptive batching is on.  Exposed
@@ -119,7 +113,7 @@ class Packer {
   /// never).  Null when the whole function is quarantined.
   HwFunctionEntry* choose_replica(HwFunctionEntry* primary, int socket);
   /// Drop a flushed batch whose hardware function vanished mid-open
-  /// (unload raced the timeout flush): release the parked mbufs.
+  /// (unload raced the timeout flush) at the kUnready site.
   void drop_batch(fpga::DmaBatchPtr batch);
   /// Ring the doorbell, retrying with bounded exponential backoff on the
   /// virtual clock when the submit times out (dma.submit faults).  After
@@ -128,8 +122,8 @@ class Packer {
   void submit_with_retry(fpga::FpgaDevice* dev, fpga::DmaBatchPtr batch,
                          std::uint32_t attempt);
   /// Bottom of the ladder for a batch with no dispatchable replica: each
-  /// parked packet goes through the registered software fallback, or is
-  /// dropped (dhl.runtime.submit_drop_pkts) when none is registered.
+  /// same-NF run goes through the registered software fallback, or is
+  /// dropped at the kSubmit site when none is registered.
   void fallback_or_drop(fpga::DmaBatchPtr batch, const std::string& hf_name);
   /// New open batch for `acc_id`: pooled on the zero-copy path, heap
   /// allocated on the legacy path.
@@ -144,8 +138,6 @@ class Packer {
   DispatchPolicy* policy_ = nullptr;
   fpga::FaultHook* fault_ = nullptr;
   FallbackRouter* fallback_ = nullptr;
-  LifecycleLedger* ledger_ = nullptr;
-  TenantRegistry* tenants_ = nullptr;
   std::vector<SocketState> sockets_;
   /// Flush-time candidate list, reused across flushes (no hot-path alloc).
   std::vector<HwFunctionEntry*> candidates_;

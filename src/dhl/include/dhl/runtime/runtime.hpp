@@ -163,9 +163,6 @@ class DhlRuntime {
 
   // --- introspection -----------------------------------------------------------
 
-  /// Flat stats view assembled from the metrics registry (compatibility
-  /// shim; prefer telemetry().metrics for new code).
-  RuntimeStats stats() const;
   telemetry::Telemetry& telemetry() { return *telemetry_; }
   const telemetry::Telemetry& telemetry() const { return *telemetry_; }
   const telemetry::TelemetryPtr& telemetry_ptr() const { return telemetry_; }
@@ -234,18 +231,19 @@ class DhlRuntime {
   sim::Simulator& sim_;
   RuntimeConfig config_;
   telemetry::TelemetryPtr telemetry_;
-  RuntimeMetrics metrics_;
   HwFunctionTable table_;
   /// Declared before (destroyed after) the components whose teardown can
   /// still release tracked mbufs through the observer seam.
   LifecycleLedger ledger_;
   std::unique_ptr<DispatchPolicy> policy_;
-  /// Declared before the components that borrow it (Packer, Distributor,
-  /// FallbackRouter), destroyed after them.
+  /// Declared before the components that borrow it (the terminal seam,
+  /// Packer, Distributor), destroyed after them.
   TenantRegistry tenants_;
   std::vector<NfInfo> nfs_;
-  /// Declared after nfs_/metrics_ (it borrows both), before the Packer
-  /// that consults it.
+  /// Shared counters and the packet-terminal seam; borrows ledger_,
+  /// tenants_ and nfs_, and is borrowed by every data-plane component.
+  RuntimeMetrics metrics_;
+  /// Declared before the Packer that consults it.
   FallbackRouter fallback_;
   /// Declared before the Packer/Distributor that borrow it, destroyed
   /// after them: in-flight batches recycled at teardown find a live pool.

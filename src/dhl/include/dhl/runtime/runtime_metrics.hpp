@@ -1,22 +1,52 @@
 #pragma once
 
-// Shared data-plane instruments and counters of the DHL Runtime.
+// Shared data-plane state of the DHL Runtime: the counters and instruments
+// the Packer, Distributor and FallbackRouter all account against, and the
+// packet-terminal seam (DESIGN.md section 3.4).
 //
-// The Packer and Distributor both account packets against the same
-// dhl.runtime.* series and the same lazily-created per-(nf, acc) counters;
-// this object owns them so the two components stay decoupled.
+// A packet's life ends in exactly one of two ways -- delivered to its NF's
+// private OBQ, or dropped at one of the LedgerDrop sites.  drop(),
+// drop_all() and deliver() are the only places that decide a fate: each
+// updates the site's counter (kDropSites), the ledger, the tenant tallies
+// and the flight recorder, then releases or enqueues the mbuf.  Cycle
+// charges and in_flight accounting stay with the callers.
 
-#include <functional>
 #include <map>
-#include <string>
+#include <span>
+#include <vector>
 
 #include "dhl/netio/mbuf.hpp"
+#include "dhl/runtime/ledger.hpp"
+#include "dhl/runtime/tenant.hpp"
+#include "dhl/runtime/types.hpp"
+#include "dhl/sim/simulator.hpp"
 #include "dhl/telemetry/telemetry.hpp"
 
 namespace dhl::runtime {
 
-struct RuntimeMetrics {
-  explicit RuntimeMetrics(telemetry::Telemetry& telemetry);
+class RuntimeMetrics {
+ public:
+  RuntimeMetrics(sim::Simulator& simulator, telemetry::Telemetry& telemetry,
+                 LifecycleLedger& ledger, TenantRegistry& tenants,
+                 std::vector<NfInfo>& nfs);
+
+  RuntimeMetrics(const RuntimeMetrics&) = delete;
+  RuntimeMetrics& operator=(const RuntimeMetrics&) = delete;
+
+  // --- packet terminals -----------------------------------------------------
+
+  /// Terminal: drop `m` at `site` -- site counter, ledger, tenant tally, one
+  /// flight event (a = nf_id, b = 1), then release.
+  void drop(netio::Mbuf* m, LedgerDrop site);
+  /// Terminal: drop every packet of `pkts` at `site`, with one flight event
+  /// for the lot (a = first packet's nf_id, b = count, c = `batch_id`).
+  void drop_all(std::span<netio::Mbuf* const> pkts, LedgerDrop site,
+                std::uint64_t batch_id);
+  /// Terminal: enqueue `m` on NF `nf`'s private OBQ, or drop it at
+  /// LedgerDrop::kObq when `nf` is unregistered or the OBQ is full (the
+  /// latter also counts dhl.nf.obq_drops).  On delivery, records the
+  /// packet's end-to-end latency at `now`.  True when delivered.
+  bool deliver(std::size_t nf, netio::Mbuf* m, Picos now);
 
   /// Hot-path counters for one (nf_id, acc_id) pair, created lazily on
   /// first packet so the registry only carries live series.
@@ -27,29 +57,32 @@ struct RuntimeMetrics {
     telemetry::Counter* errors = nullptr;    // error-flagged records
   };
 
+  /// Counters labelled with the NF's registered name ("nf<id>" for an
+  /// unregistered id).
   NfAccCounters& nf_acc(netio::NfId nf_id, netio::AccId acc_id);
 
   telemetry::MetricsRegistry& registry;
-  /// Resolves an NF id to its registered name for counter labels; falls
-  /// back to "nf<id>" when unset or out of range.
-  std::function<std::string(netio::NfId)> nf_name;
+  /// Packet-lifecycle ledger and tenant registry, shared with the
+  /// components for stage transitions and quota accounting.
+  LifecycleLedger& ledger;
+  TenantRegistry& tenants;
 
-  // dhl.runtime.* instruments backing the RuntimeStats shim.
+  // dhl.runtime.* series.
   telemetry::Counter* pkts_to_fpga = nullptr;
   telemetry::Counter* batches_to_fpga = nullptr;
   telemetry::Counter* bytes_to_fpga = nullptr;
   telemetry::Counter* pkts_from_fpga = nullptr;
   telemetry::Counter* batches_from_fpga = nullptr;
-  telemetry::Counter* obq_drops = nullptr;
   telemetry::Counter* error_records = nullptr;
   // Packer behaviour: why batches shipped and how full they were.
   telemetry::Counter* flush_full = nullptr;
   telemetry::Counter* flush_timeout = nullptr;
-  telemetry::Counter* unready_drops = nullptr;
   /// Packets whose single record could never fit a batch (record header +
   /// payload > max_batch_bytes); routed to the software fallback when one
   /// is registered, dropped otherwise -- never silently wedged in an open
-  /// batch that can't flush.
+  /// batch that can't flush.  Unlike the other drop-site counters it
+  /// counts every rejection: drop() counts the dropped ones, the Packer
+  /// the ones the fallback served.
   telemetry::Counter* oversize_drops = nullptr;
   /// Batches whose acc_id slot was recycled (unload + reload) while they
   /// were in flight; detected by the generation tag, routed by hf_name.
@@ -70,13 +103,10 @@ struct RuntimeMetrics {
   // Failure model (DESIGN.md section 3.3).
   /// DMA TX submits retried after an injected/observed submit failure.
   telemetry::Counter* dma_retries = nullptr;  // dhl.dma.retries
-  /// Packets dropped after the submit retry budget, redirect attempt and
-  /// software fallback were all exhausted.
-  telemetry::Counter* submit_drop_pkts = nullptr;
   /// Whole batches dropped by the Distributor's integrity gate (CRC
-  /// mismatch or unparseable wire bytes), and the packets inside them.
+  /// mismatch or unparseable wire bytes); their packets count at the kCrc
+  /// drop site.
   telemetry::Counter* crc_drop_batches = nullptr;  // dhl.batch.crc_drops
-  telemetry::Counter* crc_drop_pkts = nullptr;     // dhl.batch.crc_drop_pkts
   /// Packets served by a registered software fallback (dhl.fallback.pkts).
   telemetry::Counter* fallback_pkts = nullptr;
 
@@ -87,6 +117,17 @@ struct RuntimeMetrics {
   std::uint64_t next_batch_id = 1;
 
  private:
+  /// Counter, ledger and tenant tally of one dropped packet (no release).
+  void account_drop(const netio::Mbuf* m, LedgerDrop site);
+  void log_drop(LedgerDrop site, netio::NfId nf, std::size_t count,
+                std::uint64_t batch_id);
+
+  sim::Simulator& sim_;
+  telemetry::Telemetry& telemetry_;
+  std::vector<NfInfo>& nfs_;
+  /// kDropSites[i].counter, resolved once; null for tenant-labelled sites
+  /// (the TenantRegistry counts those).
+  telemetry::Counter* site_counters_[kDropSiteCount] = {};
   /// Keyed on (nf_id << 16) | acc_id.  The shift is 16 (not the ids' 8-bit
   /// width) so a widened AccId -- long-running PR churn pushing past 256 --
   /// can never alias another NF's counters.

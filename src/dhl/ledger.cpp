@@ -34,26 +34,6 @@ const char* to_string(LedgerStage stage) {
   return "unknown";
 }
 
-const char* to_string(LedgerDrop drop) {
-  switch (drop) {
-    case LedgerDrop::kUnready:
-      return "unready";
-    case LedgerDrop::kSubmit:
-      return "submit";
-    case LedgerDrop::kCrc:
-      return "crc";
-    case LedgerDrop::kObq:
-      return "obq";
-    case LedgerDrop::kOversize:
-      return "oversize";
-    case LedgerDrop::kQuota:
-      return "quota";
-    case LedgerDrop::kCount:
-      break;
-  }
-  return "unknown";
-}
-
 const LedgerAudit::TenantTally* LedgerAudit::tenant(
     const std::string& name) const {
   for (const TenantTally& t : tenants) {
@@ -79,10 +59,8 @@ std::string LedgerAudit::to_string() const {
   out << "ledger audit: tracked=" << tracked << " delivered=" << delivered
       << " dropped=" << dropped_total() << " live=" << live << '\n';
   out << "  drops:";
-  for (std::size_t i = 0; i < static_cast<std::size_t>(LedgerDrop::kCount);
-       ++i) {
-    out << ' ' << runtime::to_string(static_cast<LedgerDrop>(i)) << '='
-        << dropped[i];
+  for (std::size_t i = 0; i < kDropSiteCount; ++i) {
+    out << ' ' << kDropSites[i].name << '=' << dropped[i];
   }
   out << '\n';
   out << "  violations: double_track=" << double_track
@@ -126,12 +104,10 @@ LifecycleLedger::LifecycleLedger(bool enabled,
   }
   tracked_counter_ = telemetry.metrics.counter("dhl.ledger.tracked");
   delivered_counter_ = telemetry.metrics.counter("dhl.ledger.delivered");
-  for (std::size_t i = 0; i < static_cast<std::size_t>(LedgerDrop::kCount);
-       ++i) {
+  for (std::size_t i = 0; i < kDropSiteCount; ++i) {
     drop_counters_[i] = telemetry.metrics.counter(
         "dhl.ledger.dropped",
-        telemetry::Labels{
-            {"reason", runtime::to_string(static_cast<LedgerDrop>(i))}});
+        telemetry::Labels{{"reason", kDropSites[i].name}});
   }
   violation_counter_ = telemetry.metrics.counter("dhl.ledger.violations");
   live_gauge_ = telemetry.metrics.gauge("dhl.ledger.live");
@@ -264,10 +240,7 @@ LedgerAudit LifecycleLedger::audit() const {
   LedgerAudit out;
   out.tracked = tracked_;
   out.delivered = delivered_;
-  for (std::size_t i = 0; i < static_cast<std::size_t>(LedgerDrop::kCount);
-       ++i) {
-    out.dropped[i] = dropped_[i];
-  }
+  for (std::size_t i = 0; i < kDropSiteCount; ++i) out.dropped[i] = dropped_[i];
   out.double_track = double_track_;
   out.double_terminal = double_terminal_;
   out.premature_release = premature_release_;

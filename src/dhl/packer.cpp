@@ -87,28 +87,15 @@ HwFunctionEntry* Packer::choose_replica(HwFunctionEntry* primary, int socket) {
 }
 
 void Packer::drop_batch(fpga::DmaBatchPtr batch) {
-  telemetry_.recorder.log(telemetry::FlightComponent::kPacker, sim_.now(),
-                          telemetry::FlightEventKind::kDrop, "unready",
-                          static_cast<std::int16_t>(batch->acc_id()),
-                          static_cast<std::int32_t>(batch->pkts().size()));
-  if (tenants_ != nullptr) tenants_->retire_batch(*batch);
-  for (Mbuf* m : batch->pkts()) {
-    --metrics_.in_flight;
-    metrics_.unready_drops->add(1);
-    if (ledger_ != nullptr) ledger_->on_drop(m, LedgerDrop::kUnready);
-    if (tenants_ != nullptr) tenants_->count_drop(m->nf_id());
-    m->release();
-  }
+  metrics_.tenants.retire_batch(*batch);
+  metrics_.in_flight -= batch->pkts().size();
+  metrics_.drop_all(batch->pkts(), LedgerDrop::kUnready, batch->batch_id);
   pools_.recycle(std::move(batch));
 }
 
 void Packer::fallback_or_drop(fpga::DmaBatchPtr batch,
                               const std::string& hf_name) {
-  telemetry_.recorder.log(telemetry::FlightComponent::kPacker, sim_.now(),
-                          telemetry::FlightEventKind::kDrop, hf_name,
-                          static_cast<std::int16_t>(batch->acc_id()),
-                          static_cast<std::int32_t>(batch->pkts().size()));
-  if (tenants_ != nullptr) tenants_->retire_batch(*batch);
+  metrics_.tenants.retire_batch(*batch);
   // Hand the fallback router whole same-NF runs (batches are usually
   // single-NF, so normally one call) so batch-registered software paths --
   // multi-lane Aho-Corasick, pipelined AES-CTR -- see the batch shape
@@ -120,16 +107,9 @@ void Packer::fallback_or_drop(fpga::DmaBatchPtr batch,
     while (j < pkts.size() && pkts[j]->nf_id() == pkts[i]->nf_id()) ++j;
     const std::span<Mbuf* const> run{pkts.data() + i, j - i};
     metrics_.in_flight -= run.size();
-    if (fallback_ != nullptr &&
-        fallback_->process_batch(pkts[i]->nf_id(), hf_name, run)) {
-      i = j;  // served in software, delivered to the NF's OBQ
-      continue;
-    }
-    for (Mbuf* m : run) {
-      metrics_.submit_drop_pkts->add(1);
-      if (ledger_ != nullptr) ledger_->on_drop(m, LedgerDrop::kSubmit);
-      if (tenants_ != nullptr) tenants_->count_drop(m->nf_id());
-      m->release();
+    if (fallback_ == nullptr ||
+        !fallback_->process_batch(pkts[i]->nf_id(), hf_name, run)) {
+      metrics_.drop_all(run, LedgerDrop::kSubmit, batch->batch_id);
     }
     i = j;
   }
@@ -139,9 +119,7 @@ void Packer::fallback_or_drop(fpga::DmaBatchPtr batch,
 void Packer::submit_with_retry(fpga::FpgaDevice* dev, fpga::DmaBatchPtr batch,
                                std::uint32_t attempt) {
   // Idempotent: retries and redirects re-mark the same stage, a no-op.
-  if (ledger_ != nullptr) {
-    ledger_->on_batch_stage(*batch, LedgerStage::kDmaTx);
-  }
+  metrics_.ledger.on_batch_stage(*batch, LedgerStage::kDmaTx);
   if (dev->dma().try_submit_tx(batch)) return;
   const auto& rt = config_.timing.runtime;
   if (attempt < rt.dma_submit_max_retries) {
@@ -273,7 +251,7 @@ double Packer::flush_batch(int socket, AccId acc_id, OpenBatch&& open,
   batch->remote_numa = !config_.numa_aware && dev->socket() != 0;
   batch->batch_id = metrics_.next_batch_id++;
   batch->submitted_bytes = batch->size_bytes();
-  if (tenants_ != nullptr) tenants_->charge_batch(tenant, *batch);
+  metrics_.tenants.charge_batch(tenant, *batch);
   target->outstanding_bytes += batch->size_bytes();
   target->dispatch_batches->add(1);
   target->dispatch_bytes->add(batch->size_bytes());
@@ -361,23 +339,19 @@ sim::PollResult Packer::poll(int socket) {
   for (std::size_t i = 0; i < n; ++i) {
     Mbuf* m = pkts[i];
     if (stages_on) m->set_stage_ts(ingress_now);
-    if (ledger_ != nullptr) ledger_->on_ingress(m);
+    metrics_.ledger.on_ingress(m);
     const AccId acc_id = m->acc_id();
-    const TenantId tenant =
-        tenants_ != nullptr ? tenants_->tenant_of(m->nf_id()) : kDefaultTenant;
+    const TenantId tenant = metrics_.tenants.tenant_of(m->nf_id());
     // Bytes leave the tenant's queued bucket the moment they leave the IBQ,
     // whatever their later fate (they re-enter the in-flight bucket only if
     // a batch carrying them flushes).
-    if (tenants_ != nullptr) tenants_->on_packer_ingest(m->nf_id(), m->data_len());
+    metrics_.tenants.on_packer_ingest(m->nf_id(), m->data_len());
     const HwFunctionEntry* e = table_.entry_for(acc_id);  // O(1)
     if (e == nullptr || !e->ready) {
       // Paper never sends before search/configure; treat as caller error.
       DHL_WARN("dhl", "packet tagged with unknown/unready acc_id "
                           << static_cast<int>(acc_id) << "; dropping");
-      metrics_.unready_drops->add(1);
-      if (ledger_ != nullptr) ledger_->on_drop(m, LedgerDrop::kUnready);
-      if (tenants_ != nullptr) tenants_->count_drop(m->nf_id());
-      m->release();
+      metrics_.drop(m, LedgerDrop::kUnready);
       continue;
     }
     // Health fast path: one enum compare per packet.  Anything but a
@@ -386,15 +360,11 @@ sim::PollResult Packer::poll(int socket) {
     if (e->health != ReplicaHealth::kHealthy &&
         !table_.any_dispatchable(e->hf_name)) {
       cycles += rt.packer_per_pkt_cycles;
-      if (fallback_ != nullptr &&
-          fallback_->process(m->nf_id(), e->hf_name, m)) {
-        continue;  // served in software; never entered a batch
+      if (fallback_ == nullptr ||
+          !fallback_->process(m->nf_id(), e->hf_name, m)) {
+        metrics_.drop(m, LedgerDrop::kSubmit);
       }
-      metrics_.submit_drop_pkts->add(1);
-      if (ledger_ != nullptr) ledger_->on_drop(m, LedgerDrop::kSubmit);
-      if (tenants_ != nullptr) tenants_->count_drop(m->nf_id());
-      m->release();
-      continue;
+      continue;  // served in software or dropped; never entered a batch
     }
     const std::size_t record_bytes = fpga::kRecordHeaderBytes + m->data_len();
     if (record_bytes > rt.max_batch_bytes) {
@@ -404,15 +374,14 @@ sim::PollResult Packer::poll(int socket) {
       // violating the 6 KB DMA contract.  Judged against max_batch_bytes,
       // not the adaptive cap -- adaptive batching shrinks the target, not
       // the wire-format ceiling.
-      metrics_.oversize_drops->add(1);
       cycles += rt.packer_per_pkt_cycles;
       if (fallback_ != nullptr &&
           fallback_->process(m->nf_id(), e->hf_name, m)) {
-        continue;  // served in software, unbatched
+        // Served in software, unbatched -- still a counted rejection.
+        metrics_.oversize_drops->add(1);
+      } else {
+        metrics_.drop(m, LedgerDrop::kOversize);
       }
-      if (ledger_ != nullptr) ledger_->on_drop(m, LedgerDrop::kOversize);
-      if (tenants_ != nullptr) tenants_->count_drop(m->nf_id());
-      m->release();
       continue;
     }
     const OpenKey key = open_key(tenant, acc_id);
@@ -425,14 +394,12 @@ sim::PollResult Packer::poll(int socket) {
     // Flush-before-append if this record would overflow the batch cap.
     if (open.batch->size_bytes() + record_bytes > cap &&
         !open.batch->empty()) {
-      if (tenants_ != nullptr && !tenants_->can_flush(tenant)) {
+      if (!metrics_.tenants.can_flush(tenant)) {
         // Batch budget exhausted and the open batch is full: the incoming
         // packet has nowhere legal to go.  Counted quota drop -- never a
         // silent one (dhl.tenant.quota_drops + the ledger's quota site).
-        if (ledger_ != nullptr) ledger_->on_drop(m, LedgerDrop::kQuota);
-        tenants_->count_quota_drop(m->nf_id());
         cycles += rt.packer_per_pkt_cycles;
-        m->release();
+        metrics_.drop(m, LedgerDrop::kQuota);
         continue;
       }
       cycles += flush_batch(socket, acc_id, std::move(open), pending,
@@ -450,7 +417,7 @@ sim::PollResult Packer::poll(int socket) {
       open.batch->append(m->nf_id(), m->payload(), m);
       metrics_.copy_bytes->add(m->data_len());
     }
-    if (ledger_ != nullptr) ledger_->on_stage(m, LedgerStage::kPackerAppend);
+    metrics_.ledger.on_stage(m, LedgerStage::kPackerAppend);
     RuntimeMetrics::NfAccCounters& c = metrics_.nf_acc(m->nf_id(), acc_id);
     c.pkts->add(1);
     c.bytes->add(m->data_len());
@@ -477,10 +444,10 @@ sim::PollResult Packer::poll(int socket) {
     const bool aged =
         have &&
         sim_.now() - open.batch->first_pkt_enqueued_at >= rt.batch_timeout;
-    if (aged && tenants_ != nullptr && !tenants_->can_flush(tenant)) {
+    if (aged && !metrics_.tenants.can_flush(tenant)) {
       // Over the batch budget: defer, counted.  The batch stays open and
       // flushes on a later sweep once an in-flight batch retires.
-      tenants_->note_flush_deferred(tenant);
+      metrics_.tenants.note_flush_deferred(tenant);
       ++i;
       continue;
     }

@@ -15,12 +15,12 @@ DhlRuntime::DhlRuntime(sim::Simulator& simulator, RuntimeConfig config,
     : sim_{simulator},
       config_{std::move(config)},
       telemetry_{telemetry::ensure(config_.telemetry)},
-      metrics_{*telemetry_},
       table_{simulator, std::move(database), std::move(fpgas), *telemetry_},
       ledger_{config_.ledger, *telemetry_},
       policy_{make_dispatch_policy(config_.dispatch_policy)},
       tenants_{&telemetry_->metrics},
-      fallback_{nfs_, metrics_},
+      metrics_{simulator, *telemetry_, ledger_, tenants_, nfs_},
+      fallback_{simulator, *telemetry_, metrics_},
       pools_{config_.num_sockets, config_.batch_pool_capacity,
              config_.timing.runtime.max_batch_bytes + fpga::kRecordHeaderBytes,
              *telemetry_},
@@ -30,12 +30,6 @@ DhlRuntime::DhlRuntime(sim::Simulator& simulator, RuntimeConfig config,
   DHL_CHECK(config_.num_sockets > 0);
   packer_.set_dispatch_policy(policy_.get());
   packer_.set_fallback_router(&fallback_);
-  packer_.set_ledger(&ledger_);
-  packer_.set_tenants(&tenants_);
-  distributor_.set_ledger(&ledger_);
-  distributor_.set_tenants(&tenants_);
-  fallback_.set_ledger(&ledger_);
-  fallback_.set_tenants(&tenants_);
   ledger_.set_tenant_resolver(
       [this](NfId nf_id) { return tenants_.tenant_of(nf_id); },
       [this](std::uint8_t id) { return tenants_.tenant_name(id); });
@@ -44,13 +38,8 @@ DhlRuntime::DhlRuntime(sim::Simulator& simulator, RuntimeConfig config,
   // measure the layer's hot-path overhead.
   telemetry_->stages.set_enabled(config_.introspection);
   telemetry_->recorder.set_enabled(config_.introspection);
-  fallback_.set_introspection(&sim_, telemetry_.get());
   table_.set_health_params(config_.timing.runtime.replica_quarantine_failures,
                            config_.timing.runtime.replica_quarantine_period);
-  metrics_.nf_name = [this](NfId nf_id) {
-    return nf_id < nfs_.size() ? nfs_[nf_id].name
-                               : "nf" + std::to_string(nf_id);
-  };
   // Surface the active policy as a labelled gauge so dashboards can tell
   // runs apart without parsing logs.
   telemetry_->metrics
@@ -265,18 +254,6 @@ void DhlRuntime::set_dispatch_policy(std::unique_ptr<DispatchPolicy> policy) {
       .gauge("dhl.runtime.dispatch_policy",
              telemetry::Labels{{"policy", policy_->name()}})
       ->set(1);
-}
-
-RuntimeStats DhlRuntime::stats() const {
-  RuntimeStats s;
-  s.pkts_to_fpga = metrics_.pkts_to_fpga->value();
-  s.batches_to_fpga = metrics_.batches_to_fpga->value();
-  s.bytes_to_fpga = metrics_.bytes_to_fpga->value();
-  s.pkts_from_fpga = metrics_.pkts_from_fpga->value();
-  s.batches_from_fpga = metrics_.batches_from_fpga->value();
-  s.obq_drops = metrics_.obq_drops->value();
-  s.error_records = metrics_.error_records->value();
-  return s;
 }
 
 }  // namespace dhl::runtime

@@ -131,7 +131,9 @@ class Ring {
     }
 
     // Multi-producer: wait for earlier reservations to publish first.
-    while (prod_tail_.load(std::memory_order_relaxed) != head) {
+    // Acquire, so the earlier producers' slot writes happen-before our
+    // release below -- the consumer acquires only the last tail store.
+    while (prod_tail_.load(std::memory_order_acquire) != head) {
       std::this_thread::yield();
     }
     prod_tail_.store(next, std::memory_order_release);
@@ -169,7 +171,9 @@ class Ring {
       out[i] = slots_[(head + i) & mask_];
     }
 
-    while (cons_tail_.load(std::memory_order_relaxed) != head) {
+    // Acquire for the same reason as the producer-side wait: earlier
+    // consumers' slot reads must be ordered before the slots are reused.
+    while (cons_tail_.load(std::memory_order_acquire) != head) {
       std::this_thread::yield();
     }
     cons_tail_.store(next, std::memory_order_release);

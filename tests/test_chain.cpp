@@ -109,7 +109,9 @@ TEST_F(ChainFixture, NidsThenIpsecChainEndToEnd) {
                                              ? ipsec->stats().encapsulated
                                              : 0u);
   EXPECT_GT(ipsec->stats().encapsulated, 5'000u);
-  EXPECT_EQ(rt.stats().error_records, 0u);
+  EXPECT_EQ(
+      rt.telemetry().metrics.counter("dhl.runtime.error_records")->value(),
+      0u);
   // Both modules live on the same FPGA.
   EXPECT_EQ(rt.hardware_function_table().size(), 2u);
 }

@@ -268,7 +268,11 @@ TEST_F(FusedChainFixture, FusedAndPerStageChainsAreBitIdentical) {
                  {{"chain", "compression+aes256-ctr"}, {"idx", "1"}}),
             0.0);
 
-  EXPECT_EQ(rt.stats().error_records, 0u);
+  EXPECT_EQ(
+
+      rt.telemetry().metrics.counter("dhl.runtime.error_records")->value(),
+
+      0u);
   EXPECT_TRUE(tb.quiesce_ledger().clean());
 }
 
@@ -471,7 +475,11 @@ TEST_F(FusedChainFixture, NcEncodeThenEncryptChainDecodesAtTheHost) {
         << "decoded symbol " << i << " differs from the source";
   }
 
-  EXPECT_EQ(rt.stats().error_records, 0u);
+  EXPECT_EQ(
+
+      rt.telemetry().metrics.counter("dhl.runtime.error_records")->value(),
+
+      0u);
   EXPECT_TRUE(tb.quiesce_ledger().clean());
 }
 

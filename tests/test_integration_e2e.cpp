@@ -71,7 +71,9 @@ TEST(Integration, DhlIpsecGatewayEncryptsAtHighRateWithLowLatency) {
   EXPECT_GT(gbps, 30.0);  // ~0.9 x 40G, input-traffic basis
   // Paper V-C: DHL latency below 10 us at any packet size.
   EXPECT_LT(to_microseconds(port->latency().percentile(0.5)), 12.0);
-  EXPECT_EQ(rt.stats().error_records, 0u);
+  EXPECT_EQ(
+      rt.telemetry().metrics.counter("dhl.runtime.error_records")->value(),
+      0u);
   EXPECT_GT(proc->stats().encapsulated, 50'000u);
   EXPECT_EQ(proc->stats().auth_failures, 0u);
   const auto audit = tb.quiesce_ledger();
@@ -238,8 +240,12 @@ TEST(Integration, TwoNfsShareOneModuleWithoutCrosstalk) {
   // Both NFs run at ~9 Gbps; the shared module (65 Gbps) is not a bottleneck.
   EXPECT_NEAR(forwarded_wire_gbps(*port_a, 512, milliseconds(5)), 9.0, 0.5);
   EXPECT_NEAR(forwarded_wire_gbps(*port_b, 512, milliseconds(5)), 9.0, 0.5);
-  EXPECT_EQ(rt.stats().obq_drops, 0u);
-  EXPECT_EQ(rt.stats().error_records, 0u);
+  EXPECT_EQ(
+      rt.telemetry().metrics.counter("dhl.runtime.obq_drops")->value(),
+      0u);
+  EXPECT_EQ(
+      rt.telemetry().metrics.counter("dhl.runtime.error_records")->value(),
+      0u);
   EXPECT_EQ(proc_a->stats().auth_failures, 0u);
   EXPECT_EQ(proc_b->stats().auth_failures, 0u);
   const auto audit = tb.quiesce_ledger();
@@ -292,7 +298,9 @@ TEST(Integration, PartialReconfigurationDoesNotDisturbRunningNf) {
   const double during = port->tx_meter().wire_rate(milliseconds(3)).gbps();
 
   EXPECT_NEAR(during, before, before * 0.02);  // no degradation
-  EXPECT_EQ(rt.stats().error_records, 0u);
+  EXPECT_EQ(
+      rt.telemetry().metrics.counter("dhl.runtime.error_records")->value(),
+      0u);
   tb.run_for(milliseconds(40));
   EXPECT_TRUE(rt.acc_ready(handle));
   const auto audit = tb.quiesce_ledger();

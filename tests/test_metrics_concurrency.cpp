@@ -27,8 +27,15 @@ TEST(MetricsConcurrency, SnapshotsAreCoherentWhileWriterRuns) {
 
   constexpr int kIterations = 50'000;
   std::atomic<bool> done{false};
+  // The writer holds off until the reader is at its loop: a newly woken
+  // thread can otherwise finish all iterations before the reader's first
+  // check and leave nothing overlapped.
+  std::atomic<bool> reader_started{false};
 
   std::thread writer([&] {
+    while (!reader_started.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
     for (int i = 0; i < kIterations; ++i) {
       hot->add(1);
       level->set(static_cast<double>(i));
@@ -46,6 +53,7 @@ TEST(MetricsConcurrency, SnapshotsAreCoherentWhileWriterRuns) {
 
   std::uint64_t snapshots_taken = 0;
   double last_hot = 0;
+  reader_started.store(true, std::memory_order_release);
   while (!done.load(std::memory_order_acquire)) {
     const MetricsSnapshot snap = reg.snapshot(123);
     snapshots_taken++;

@@ -111,7 +111,9 @@ TEST(Replication, RoundRobinSpreadsTrafficAndPacketsSurviveRetag) {
   EXPECT_GT(h.fpgas[1]->dma().tx_transfers(), 0u);
   EXPECT_EQ(h.fpgas[0]->dispatch_drops(), 0u);
   EXPECT_EQ(h.fpgas[1]->dispatch_drops(), 0u);
-  EXPECT_EQ(h.rt->stats().error_records, 0u);
+  EXPECT_EQ(
+      h.rt->telemetry().metrics.counter("dhl.runtime.error_records")->value(),
+      0u);
   EXPECT_EQ(h.pool.in_use(), 0u);
 
   // Per-replica dispatch accounting sees both replicas.

@@ -179,7 +179,9 @@ TEST(RuntimeFailure, CorruptedNfIdTagIsContained) {
 
   Mbuf* out[4];
   EXPECT_EQ(DhlRuntime::receive_packets(h.rt->get_private_obq(nf), out, 4), 0u);
-  EXPECT_EQ(h.rt->stats().obq_drops, 1u);
+  EXPECT_EQ(
+      h.rt->telemetry().metrics.counter("dhl.runtime.obq_drops")->value(),
+      1u);
   EXPECT_EQ(h.pool.in_use(), 0u);  // no leak
 }
 

@@ -83,7 +83,9 @@ TEST(TunnelE2E, EncryptThenDecryptRestoresPayloads) {
 
   EXPECT_GT(restored, 1000u);
   EXPECT_EQ(mismatches, 0u);
-  EXPECT_EQ(rt.stats().error_records, 0u);
+  EXPECT_EQ(
+      rt.telemetry().metrics.counter("dhl.runtime.error_records")->value(),
+      0u);
   const auto audit = tb.quiesce_ledger();
   EXPECT_TRUE(audit.clean()) << audit.to_string();
 }
