@@ -15,7 +15,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -108,8 +111,7 @@ void BM_Lz77Compress(benchmark::State& state) {
 BENCHMARK(BM_Lz77Compress)->Arg(1500)->Arg(6144);
 
 void BM_RingEnqueueDequeueBurst(benchmark::State& state) {
-  netio::Ring<void*> ring{"bench", 1024, netio::SyncMode::kSingle,
-                          netio::SyncMode::kSingle};
+  netio::Ring<void*> ring{"bench", 1024};
   const std::size_t burst = static_cast<std::size_t>(state.range(0));
   std::vector<void*> items(burst, nullptr);
   for (auto _ : state) {
@@ -120,6 +122,54 @@ void BM_RingEnqueueDequeueBurst(benchmark::State& state) {
                           static_cast<std::int64_t>(burst));
 }
 BENCHMARK(BM_RingEnqueueDequeueBurst)->Arg(1)->Arg(32)->Arg(64);
+
+// The IBQ shape under preemption: 2x hardware-thread producers and one
+// consumer move a fixed item count through a 1024-slot ring.  With more
+// runnable threads than cores, producers are descheduled mid-enqueue, so
+// any step that waits for another thread's progress shows up as a convoy.
+// Both sides yield when the ring refuses them, as a polite caller would.
+void BM_RingMpscOversubscribed(benchmark::State& state) {
+  const unsigned producers =
+      2 * std::max(1u, std::thread::hardware_concurrency());
+  const std::uint64_t per_producer = (std::uint64_t{1} << 18) / producers;
+  const std::uint64_t total = per_producer * producers;
+  double seconds = 0;
+  for (auto _ : state) {
+    netio::Ring<std::uint64_t> ring{"bench", 1024};
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<std::thread> threads;
+    for (unsigned p = 0; p < producers; ++p) {
+      threads.emplace_back([&ring, per_producer] {
+        for (std::uint64_t i = 0; i < per_producer; ++i) {
+          while (!ring.enqueue(i)) std::this_thread::yield();
+        }
+      });
+    }
+    std::uint64_t buf[32];
+    std::uint64_t got = 0, sum = 0;
+    while (got < total) {
+      const std::size_t n = ring.dequeue_burst(buf);
+      if (n == 0) std::this_thread::yield();
+      for (std::size_t i = 0; i < n; ++i) sum += buf[i];
+      got += n;
+    }
+    for (auto& t : threads) t.join();
+    const std::chrono::duration<double> dt =
+        std::chrono::steady_clock::now() - t0;
+    benchmark::DoNotOptimize(sum);
+    state.SetIterationTime(dt.count());
+    seconds += dt.count();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(total));
+  state.counters["producers"] = producers;
+  state.counters["ns_per_item"] =
+      seconds * 1e9 / (static_cast<double>(state.iterations()) *
+                       static_cast<double>(total));
+}
+BENCHMARK(BM_RingMpscOversubscribed)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_LpmLookup(benchmark::State& state) {
   netio::LpmTable table{1024};

@@ -26,8 +26,7 @@ Packer::Packer(sim::Simulator& simulator, const RuntimeConfig& config,
   for (int s = 0; s < config_.num_sockets; ++s) {
     SocketState& state = sockets_[static_cast<std::size_t>(s)];
     state.ibq = std::make_unique<MbufRing>(
-        "dhl.ibq.socket" + std::to_string(s), config_.ibq_size,
-        netio::SyncMode::kMulti, netio::SyncMode::kSingle);
+        "dhl.ibq.socket" + std::to_string(s), config_.ibq_size);
     state.scratch.resize(config_.ibq_burst);
     state.open.resize(kMaxTenants * 256);
     state.ibq_depth = telemetry_.metrics.gauge(

@@ -96,9 +96,7 @@ NfId DhlRuntime::register_nf(const std::string& name, int socket,
   info.name = name;
   info.socket = socket;
   info.tenant = tenant;
-  info.obq = std::make_unique<MbufRing>(
-      "dhl.obq." + name, config_.obq_size, netio::SyncMode::kSingle,
-      netio::SyncMode::kSingle);
+  info.obq = std::make_unique<MbufRing>("dhl.obq." + name, config_.obq_size);
   const telemetry::Labels nf_label{{"nf", name}};
   info.obq_depth = telemetry_->metrics.gauge("dhl.nf.obq_depth", nf_label);
   info.obq_drops = telemetry_->metrics.counter("dhl.nf.obq_drops", nf_label);

@@ -1,35 +1,45 @@
 #pragma once
 
-// Lockless FIFO ring, modeled on DPDK's rte_ring.
+// Lockless bounded FIFO ring, safe for any number of producers and consumers.
 //
 // The paper leans on DPDK's "lockless multi-producer multi-consumer ring
 // library" (section III-A) for every buffer queue in the system: the shared
 // IBQ is multi-producer single-consumer, private OBQs are single-producer
-// single-consumer (section IV-A4).  We implement the same algorithm --
-// split head/tail indices per side, CAS head reservation for multi mode,
-// ordered tail publication -- so the structure is genuinely safe under real
-// threads (unit tests hammer it from multiple std::threads), even though the
-// simulation core drives it single-threaded.
+// single-consumer (section IV-A4).  One algorithm serves every shape: each
+// slot carries a sequence number (Vyukov's bounded MPMC queue), extended to
+// bursts.
 //
-// Capacity is a power of two; the ring holds at most capacity-1 elements
-// (classic full/empty disambiguation).
+//   - A slot at position p is free for the producer of p when seq == p, and
+//     holds p's value for the consumer when seq == p + 1.  The consumer
+//     releases it for the next lap by storing seq = p + size.
+//   - Enqueue counts the consecutive free slots from the producer position
+//     (at most the room left under capacity), claims them with one CAS on
+//     that position, writes them and publishes each with a release store.
+//     Dequeue is the mirror image.
+//
+// rte_ring instead publishes a shared tail in reservation order, so a thread
+// preempted between its head CAS and its tail store stalls every later
+// thread (DPDK's documented non-preemptible MP/MC mode).  Here a preempted
+// thread holds only the slots it claimed; nobody ever waits for another
+// thread.  A slot still held by a preempted peer reads as full / empty.
+//
+// Positions and sequence numbers are 64-bit, so they never wrap and no ABA
+// argument is needed.  Capacity is size-1, as in rte_ring, and a burst takes
+// what fits in FIFO order, so the NIC, IBQ and OBQ accept and refuse the same
+// packets an rte_ring of that size would: virtual-time results do not depend
+// on the ring algorithm.
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "dhl/common/check.hpp"
 
 namespace dhl::netio {
-
-enum class SyncMode : std::uint8_t {
-  kSingle,  // single producer / single consumer on that side
-  kMulti,   // multiple producers / consumers on that side
-};
 
 template <typename T>
 class Ring {
@@ -38,16 +48,13 @@ class Ring {
 
  public:
   /// `size` must be a power of two >= 2.  Usable capacity is size-1.
-  Ring(std::string name, std::uint32_t size,
-       SyncMode producer = SyncMode::kMulti, SyncMode consumer = SyncMode::kMulti)
-      : name_{std::move(name)},
-        size_{size},
-        mask_{size - 1},
-        prod_mode_{producer},
-        cons_mode_{consumer},
-        slots_(size) {
+  Ring(std::string name, std::uint32_t size)
+      : name_{std::move(name)}, size_{size}, mask_{size - 1}, slots_(size) {
     DHL_CHECK_MSG(size >= 2 && std::has_single_bit(size),
                   "ring size must be a power of two >= 2");
+    for (std::uint32_t i = 0; i < size; ++i) {
+      slots_[i].seq.store(i, std::memory_order_relaxed);
+    }
   }
 
   Ring(const Ring&) = delete;
@@ -56,143 +63,103 @@ class Ring {
   const std::string& name() const { return name_; }
   std::uint32_t capacity() const { return size_ - 1; }
 
-  /// Elements currently stored (approximate under concurrency).
+  /// Elements currently stored (exact single-threaded, approximate under
+  /// concurrency).
   std::uint32_t count() const {
-    const std::uint32_t prod = prod_tail_.load(std::memory_order_acquire);
-    const std::uint32_t cons = cons_tail_.load(std::memory_order_acquire);
-    return (prod - cons) & mask_;
+    const std::uint64_t cons = cons_pos_.load(std::memory_order_relaxed);
+    const std::uint64_t prod = prod_pos_.load(std::memory_order_relaxed);
+    return static_cast<std::uint32_t>(prod - cons);
   }
-  std::uint32_t free_count() const { return capacity() - count(); }
   bool empty() const { return count() == 0; }
-  bool full() const { return free_count() == 0; }
-
-  /// Enqueue exactly items.size() elements or none.  Returns count enqueued.
-  std::size_t enqueue_bulk(std::span<const T> items) {
-    return do_enqueue(items, /*exact=*/true);
-  }
+  bool full() const { return count() >= capacity(); }
 
   /// Enqueue as many of `items` as fit.  Returns count enqueued.
   std::size_t enqueue_burst(std::span<const T> items) {
-    return do_enqueue(items, /*exact=*/false);
+    std::uint64_t pos = prod_pos_.load(std::memory_order_relaxed);
+    std::uint64_t n;
+    for (;;) {
+      // cons <= prod always holds, so a "negative" fill means `pos` is stale.
+      const std::uint64_t used = pos - cons_pos_.load(std::memory_order_relaxed);
+      if (static_cast<std::int64_t>(used) < 0) {
+        pos = prod_pos_.load(std::memory_order_relaxed);
+        continue;
+      }
+      const std::uint64_t room = used < capacity() ? capacity() - used : 0;
+      const std::uint64_t want = std::min<std::uint64_t>(items.size(), room);
+      std::uint64_t seq = pos;
+      for (n = 0; n < want; ++n) {
+        seq = slot(pos + n).seq.load(std::memory_order_acquire);
+        if (seq != pos + n) break;
+      }
+      if (n == 0) {
+        // Full, or the slot's last-lap consumer has not released it yet.
+        if (want == 0 || static_cast<std::int64_t>(seq - pos) < 0) return 0;
+        pos = prod_pos_.load(std::memory_order_relaxed);  // another producer won
+        continue;
+      }
+      if (prod_pos_.compare_exchange_weak(pos, pos + n,
+                                          std::memory_order_relaxed)) {
+        break;
+      }
+    }
+    for (std::uint64_t i = 0; i < n; ++i) {
+      Slot& s = slot(pos + i);
+      s.value = items[i];
+      s.seq.store(pos + i + 1, std::memory_order_release);
+    }
+    return n;
   }
 
-  bool enqueue(const T& item) { return enqueue_bulk({&item, 1}) == 1; }
-
-  /// Dequeue exactly out.size() elements or none.  Returns count dequeued.
-  std::size_t dequeue_bulk(std::span<T> out) {
-    return do_dequeue(out, /*exact=*/true);
-  }
+  bool enqueue(const T& item) { return enqueue_burst({&item, 1}) == 1; }
 
   /// Dequeue up to out.size() elements.  Returns count dequeued.
   std::size_t dequeue_burst(std::span<T> out) {
-    return do_dequeue(out, /*exact=*/false);
-  }
-
-  bool dequeue(T& out) { return dequeue_bulk({&out, 1}) == 1; }
-
-  /// Total elements ever enqueued / dropped by failed bulk enqueues.
-  std::uint64_t enqueued() const { return enqueued_.load(std::memory_order_relaxed); }
-  std::uint64_t enqueue_drops() const { return drops_.load(std::memory_order_relaxed); }
-
- private:
-  std::size_t do_enqueue(std::span<const T> items, bool exact) {
-    const std::uint32_t want = static_cast<std::uint32_t>(items.size());
-    if (want == 0) return 0;
-    std::uint32_t head, next, n;
-
-    if (prod_mode_ == SyncMode::kSingle) {
-      head = prod_head_.load(std::memory_order_relaxed);
-      const std::uint32_t cons = cons_tail_.load(std::memory_order_acquire);
-      const std::uint32_t free = capacity() - ((head - cons) & mask_);
-      n = want <= free ? want : (exact ? 0 : free);
-      if (n == 0) {
-        drops_.fetch_add(want, std::memory_order_relaxed);
-        return 0;
+    std::uint64_t pos = cons_pos_.load(std::memory_order_relaxed);
+    std::uint64_t n;
+    for (;;) {
+      std::uint64_t seq = pos + 1;
+      for (n = 0; n < out.size(); ++n) {
+        seq = slot(pos + n).seq.load(std::memory_order_acquire);
+        if (seq != pos + n + 1) break;
       }
-      next = head + n;
-      prod_head_.store(next, std::memory_order_relaxed);
-    } else {
-      do {
-        head = prod_head_.load(std::memory_order_relaxed);
-        const std::uint32_t cons = cons_tail_.load(std::memory_order_acquire);
-        const std::uint32_t free = capacity() - ((head - cons) & mask_);
-        n = want <= free ? want : (exact ? 0 : free);
-        if (n == 0) {
-          drops_.fetch_add(want, std::memory_order_relaxed);
+      if (n == 0) {
+        // Empty, or the slot's producer has not published it yet.
+        if (out.empty() || static_cast<std::int64_t>(seq - (pos + 1)) < 0) {
           return 0;
         }
-        next = head + n;
-      } while (!prod_head_.compare_exchange_weak(head, next,
-                                                 std::memory_order_relaxed));
+        pos = cons_pos_.load(std::memory_order_relaxed);  // another consumer won
+        continue;
+      }
+      if (cons_pos_.compare_exchange_weak(pos, pos + n,
+                                          std::memory_order_relaxed)) {
+        break;
+      }
     }
-
-    for (std::uint32_t i = 0; i < n; ++i) {
-      slots_[(head + i) & mask_] = items[i];
+    for (std::uint64_t i = 0; i < n; ++i) {
+      Slot& s = slot(pos + i);
+      out[i] = s.value;
+      s.seq.store(pos + i + size_, std::memory_order_release);
     }
-
-    // Multi-producer: wait for earlier reservations to publish first.
-    // Acquire, so the earlier producers' slot writes happen-before our
-    // release below -- the consumer acquires only the last tail store.
-    while (prod_tail_.load(std::memory_order_acquire) != head) {
-      std::this_thread::yield();
-    }
-    prod_tail_.store(next, std::memory_order_release);
-    enqueued_.fetch_add(n, std::memory_order_relaxed);
-    if (n < want) drops_.fetch_add(want - n, std::memory_order_relaxed);
     return n;
   }
 
-  std::size_t do_dequeue(std::span<T> out, bool exact) {
-    const std::uint32_t want = static_cast<std::uint32_t>(out.size());
-    if (want == 0) return 0;
-    std::uint32_t head, next, n;
+  bool dequeue(T& out) { return dequeue_burst({&out, 1}) == 1; }
 
-    if (cons_mode_ == SyncMode::kSingle) {
-      head = cons_head_.load(std::memory_order_relaxed);
-      const std::uint32_t prod = prod_tail_.load(std::memory_order_acquire);
-      const std::uint32_t avail = (prod - head) & mask_;
-      n = want <= avail ? want : (exact ? 0 : avail);
-      if (n == 0) return 0;
-      next = head + n;
-      cons_head_.store(next, std::memory_order_relaxed);
-    } else {
-      do {
-        head = cons_head_.load(std::memory_order_relaxed);
-        const std::uint32_t prod = prod_tail_.load(std::memory_order_acquire);
-        const std::uint32_t avail = (prod - head) & mask_;
-        n = want <= avail ? want : (exact ? 0 : avail);
-        if (n == 0) return 0;
-        next = head + n;
-      } while (!cons_head_.compare_exchange_weak(head, next,
-                                                 std::memory_order_relaxed));
-    }
+ private:
+  struct Slot {
+    std::atomic<std::uint64_t> seq;
+    T value;
+  };
 
-    for (std::uint32_t i = 0; i < n; ++i) {
-      out[i] = slots_[(head + i) & mask_];
-    }
-
-    // Acquire for the same reason as the producer-side wait: earlier
-    // consumers' slot reads must be ordered before the slots are reused.
-    while (cons_tail_.load(std::memory_order_acquire) != head) {
-      std::this_thread::yield();
-    }
-    cons_tail_.store(next, std::memory_order_release);
-    return n;
-  }
+  Slot& slot(std::uint64_t pos) { return slots_[pos & mask_]; }
 
   std::string name_;
   std::uint32_t size_;
-  std::uint32_t mask_;
-  SyncMode prod_mode_;
-  SyncMode cons_mode_;
-  std::vector<T> slots_;
+  std::uint64_t mask_;
+  std::vector<Slot> slots_;
 
-  alignas(64) std::atomic<std::uint32_t> prod_head_{0};
-  alignas(64) std::atomic<std::uint32_t> prod_tail_{0};
-  alignas(64) std::atomic<std::uint32_t> cons_head_{0};
-  alignas(64) std::atomic<std::uint32_t> cons_tail_{0};
-  alignas(64) std::atomic<std::uint64_t> enqueued_{0};
-  std::atomic<std::uint64_t> drops_{0};
+  alignas(64) std::atomic<std::uint64_t> prod_pos_{0};
+  alignas(64) std::atomic<std::uint64_t> cons_pos_{0};
 };
 
 class Mbuf;

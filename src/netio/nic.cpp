@@ -12,10 +12,7 @@ NicPort::NicPort(sim::Simulator& simulator, NicPortConfig config,
       config_{std::move(config)},
       telemetry_{telemetry::ensure(config_.telemetry)},
       rx_pool_{rx_pool},
-      // Multi-consumer: several I/O lcores may share one port's RX queue
-      // (the 40G ports need two I/O cores, paper V-C).
-      rx_queue_{config_.name + ".rxq", config_.rx_queue_size,
-                SyncMode::kSingle, SyncMode::kMulti} {
+      rx_queue_{config_.name + ".rxq", config_.rx_queue_size} {
   DHL_CHECK(config_.arrival_batch > 0);
   const telemetry::Labels port_label{{"port", config_.name}};
   telemetry::MetricsRegistry& reg = telemetry_->metrics;

@@ -91,10 +91,8 @@ CpuPipelineNf::CpuPipelineNf(sim::Simulator& simulator, PipelineConfig config,
       ports_{std::move(ports)},
       fn_{std::move(fn)},
       cost_{std::move(cost)},
-      rx_ring_{config_.name + ".rx_ring", config_.ring_size,
-               netio::SyncMode::kSingle, netio::SyncMode::kMulti},
-      tx_ring_{config_.name + ".tx_ring", config_.ring_size,
-               netio::SyncMode::kMulti, netio::SyncMode::kSingle} {
+      rx_ring_{config_.name + ".rx_ring", config_.ring_size},
+      tx_ring_{config_.name + ".tx_ring", config_.ring_size} {
   DHL_CHECK(!ports_.empty());
   DHL_CHECK(config_.num_workers > 0);
   const Frequency clock = config_.timing.cpu.core_clock;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <thread>
@@ -36,36 +37,24 @@ TEST(Ring, FifoOrder) {
   EXPECT_TRUE(r.empty());
 }
 
-TEST(Ring, BulkIsAllOrNothing) {
-  Ring<int> r{"r", 8};  // capacity 7
-  std::vector<int> five(5, 1);
-  EXPECT_EQ(r.enqueue_bulk(five), 5u);
-  EXPECT_EQ(r.enqueue_bulk(five), 0u);  // 5 > 2 free slots
-  EXPECT_EQ(r.count(), 5u);
-  std::vector<int> out(7);
-  EXPECT_EQ(r.dequeue_bulk(out), 0u);  // 7 > 5 available
-  EXPECT_EQ(r.dequeue_bulk({out.data(), 5}), 5u);
-}
-
 TEST(Ring, BurstTakesWhatFits) {
   Ring<int> r{"r", 8};
   std::vector<int> ten(10);
   std::iota(ten.begin(), ten.end(), 0);
   EXPECT_EQ(r.enqueue_burst(ten), 7u);  // capacity
   EXPECT_TRUE(r.full());
+  EXPECT_EQ(r.enqueue_burst(ten), 0u);  // full: nothing fits
+  EXPECT_EQ(r.count(), 7u);
   std::vector<int> out(10, -1);
   EXPECT_EQ(r.dequeue_burst(out), 7u);
   for (int i = 0; i < 7; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i)], i);
-}
+  EXPECT_TRUE(r.empty());
 
-TEST(Ring, CountsDropsOnFailedEnqueue) {
-  Ring<int> r{"r", 4};
+  Ring<int> small{"small", 4};  // capacity 3
   std::vector<int> four(4, 9);
-  EXPECT_EQ(r.enqueue_burst(four), 3u);
-  EXPECT_EQ(r.enqueue_drops(), 1u);
-  EXPECT_EQ(r.enqueue_bulk(four), 0u);
-  EXPECT_EQ(r.enqueue_drops(), 5u);
-  EXPECT_EQ(r.enqueued(), 3u);
+  EXPECT_EQ(small.enqueue_burst(four), 3u);
+  EXPECT_EQ(small.enqueue_burst(four), 0u);
+  EXPECT_EQ(small.count(), 3u);
 }
 
 TEST(Ring, WrapsAroundManyTimes) {
@@ -87,18 +76,17 @@ TEST(Ring, WrapsAroundManyTimes) {
 struct ConcurrencyCase {
   int producers;
   int consumers;
-  SyncMode prod_mode;
-  SyncMode cons_mode;
 };
 
 class RingConcurrency : public ::testing::TestWithParam<ConcurrencyCase> {};
 
 // Property: under concurrent producers/consumers, every value is delivered
-// exactly once (no loss, no duplication, no corruption).
+// exactly once (no loss, no duplication, no corruption).  The 8-producer
+// cases oversubscribe a small box, so threads get preempted mid-operation.
 TEST_P(RingConcurrency, ExactlyOnceDelivery) {
   const auto param = GetParam();
   constexpr std::uint64_t kPerProducer = 100'000;
-  Ring<std::uint64_t> ring{"r", 1024, param.prod_mode, param.cons_mode};
+  Ring<std::uint64_t> ring{"r", 1024};
 
   std::atomic<bool> done{false};
   std::vector<std::vector<std::uint64_t>> received(
@@ -137,22 +125,23 @@ TEST_P(RingConcurrency, ExactlyOnceDelivery) {
 
   std::vector<std::uint64_t> all;
   for (auto& v : received) all.insert(all.end(), v.begin(), v.end());
-  ASSERT_EQ(all.size(), kPerProducer * static_cast<std::uint64_t>(param.producers));
   std::sort(all.begin(), all.end());
-  EXPECT_TRUE(std::adjacent_find(all.begin(), all.end()) == all.end())
-      << "duplicate delivery detected";
-  // Per-producer completeness.
+  // The received multiset must be exactly {p<<32 | i}: catches loss,
+  // duplication and substituted or corrupted values alike.
+  std::vector<std::uint64_t> expected;
   for (int p = 0; p < param.producers; ++p) {
-    const auto lo = std::lower_bound(all.begin(), all.end(),
-                                     static_cast<std::uint64_t>(p) << 32);
-    EXPECT_EQ(*lo, static_cast<std::uint64_t>(p) << 32);
+    for (std::uint64_t i = 0; i < kPerProducer; ++i) {
+      expected.push_back((static_cast<std::uint64_t>(p) << 32) | i);
+    }
   }
+  ASSERT_EQ(all.size(), expected.size());
+  EXPECT_TRUE(all == expected) << "lost, duplicated or corrupted values";
 }
 
 // Property: a single consumer observes each producer's values in order.
 TEST(RingConcurrency, PerProducerOrderPreserved) {
   constexpr std::uint64_t kCount = 200'000;
-  Ring<std::uint64_t> ring{"r", 512, SyncMode::kSingle, SyncMode::kSingle};
+  Ring<std::uint64_t> ring{"r", 512};
   std::vector<std::uint64_t> got;
   got.reserve(kCount);
 
@@ -174,10 +163,10 @@ TEST(RingConcurrency, PerProducerOrderPreserved) {
 INSTANTIATE_TEST_SUITE_P(
     Modes, RingConcurrency,
     ::testing::Values(
-        ConcurrencyCase{1, 1, SyncMode::kSingle, SyncMode::kSingle},
-        ConcurrencyCase{4, 1, SyncMode::kMulti, SyncMode::kSingle},   // IBQ shape
-        ConcurrencyCase{1, 4, SyncMode::kSingle, SyncMode::kMulti},
-        ConcurrencyCase{4, 4, SyncMode::kMulti, SyncMode::kMulti}),
+        ConcurrencyCase{1, 1},  // OBQ shape
+        ConcurrencyCase{4, 1},  // IBQ shape
+        ConcurrencyCase{1, 4}, ConcurrencyCase{4, 4},
+        ConcurrencyCase{8, 1}, ConcurrencyCase{8, 8}),
     [](const ::testing::TestParamInfo<ConcurrencyCase>& info) {
       const auto& p = info.param;
       return std::to_string(p.producers) + "p" + std::to_string(p.consumers) +
