@@ -336,10 +336,6 @@ struct TransferMicroOptions {
   /// Distributor-side CRC32C integrity gate (RuntimeConfig::crc_check).
   /// Off only for the `--crc-ab` overhead measurement.
   bool crc_check = true;
-  /// Live introspection layer (stage histograms + flight recorder).  Off
-  /// only for the `--introspection-ab` overhead arm; the shipped default
-  /// keeps it on, which is why its cost is CI-gated below 2%.
-  bool introspection = true;
   /// 240 B of payload makes a 256 B wire record (16 B header), so 24
   /// records fill the 6 KB batch budget exactly: each burst below packs
   /// into two full batches with no ragged tail.
@@ -357,12 +353,11 @@ struct TransferMicroResult {
   std::uint64_t packets = 0;
   std::uint64_t batches = 0;
   /// Virtual-clock end-to-end latency percentiles from the introspection
-  /// layer (timed rounds only; zero when introspection is off).
+  /// layer (timed rounds only).
   double e2e_p50_ns = 0;
   double e2e_p99_ns = 0;
   double e2e_p999_ns = 0;
-  /// Per-stage decomposition, serialized JSON from the stage recorder
-  /// (empty when introspection is off).
+  /// Per-stage decomposition, serialized JSON from the stage recorder.
   std::string stage_latency_json;
 };
 
@@ -388,7 +383,6 @@ class TransferMicroBench {
     cfg.num_sockets = 1;
     cfg.zero_copy = opt.zero_copy;
     cfg.crc_check = opt.crc_check;
-    cfg.introspection = opt.introspection;
     cfg.ibq_burst = opt.burst;
     const std::vector<std::string> patterns{"attack", "overflow"};
     auto automaton = std::make_shared<const match::AhoCorasick>(
@@ -559,18 +553,16 @@ inline TransferMicroResult run_transfer_micro(const TransferMicroOptions& opt) {
           : 0;
   r.copied_bytes_ratio = (copied + zeroed) > 0 ? copied / (copied + zeroed) : 0;
   r.pool_hit_rate = (hits + misses) > 0 ? hits / (hits + misses) : 0;
-  if (opt.introspection) {
-    const telemetry::HdrHistogram& e2e =
-        tel.stages.stage(telemetry::Stage::kEndToEnd);
-    if (e2e.count() > 0) {
-      r.e2e_p50_ns = to_nanoseconds(e2e.percentile(0.50));
-      r.e2e_p99_ns = to_nanoseconds(e2e.percentile(0.99));
-      r.e2e_p999_ns = to_nanoseconds(e2e.percentile(0.999));
-    }
-    std::ostringstream stages_os;
-    tel.stages.write_json(stages_os);
-    r.stage_latency_json = stages_os.str();
+  const telemetry::HdrHistogram& e2e =
+      tel.stages.stage(telemetry::Stage::kEndToEnd);
+  if (e2e.count() > 0) {
+    r.e2e_p50_ns = to_nanoseconds(e2e.percentile(0.50));
+    r.e2e_p99_ns = to_nanoseconds(e2e.percentile(0.99));
+    r.e2e_p999_ns = to_nanoseconds(e2e.percentile(0.999));
   }
+  std::ostringstream stages_os;
+  tel.stages.write_json(stages_os);
+  r.stage_latency_json = stages_os.str();
   return r;
 }
 
@@ -584,8 +576,8 @@ struct IntrospectionAb {
 };
 
 /// Measure the hot-path cost of the introspection layer on ONE live
-/// pipeline, toggling the layer's enable flags (exactly what
-/// cfg.introspection sets) between short alternating blocks and comparing
+/// pipeline, toggling the layer's enable flags (the stage recorder and the
+/// flight recorder) between short alternating blocks and comparing
 /// the MINIMUM block ns/pkt of each side.
 ///
 /// Why this design: two separate pipeline instances land at different heap
@@ -601,7 +593,6 @@ inline IntrospectionAb run_introspection_ab(int blocks = 128,
                                             int attempts = 3) {
   TransferMicroOptions opt;
   opt.zero_copy = true;
-  opt.introspection = true;
   TransferMicroBench bench{opt};
   auto& tel = bench.telemetry();
   for (int i = 0; i < opt.warmup_rounds; ++i) bench.round(false);

@@ -48,8 +48,6 @@ void apply_runtime_config(const common::ConfigFile& file,
   config.max_auto_replicas = static_cast<std::uint32_t>(
       file.get_uint(s, "max_auto_replicas", config.max_auto_replicas));
   config.ledger = file.get_bool(s, "ledger", config.ledger);
-  config.introspection =
-      file.get_bool(s, "introspection", config.introspection);
   // Process-wide ISA cap for the CPU vector kernels (common/simd.hpp):
   // `simd = scalar|sse42|aesni|avx2`.  Unset keeps the DHL_SIMD
   // environment variable (or no cap) in charge.

@@ -82,7 +82,6 @@ void Distributor::drop_corrupt_batch(fpga::DmaBatchPtr batch) {
 }
 
 void Distributor::enqueue_completion(int socket, fpga::DmaBatchPtr batch) {
-  metrics_.ledger.on_batch_stage(*batch, LedgerStage::kDmaRx);
   // Integrity gate at the DMA boundary (untimed: this hook runs inside the
   // delivery event, not the RX core's timed poll loop).
   if (!batch_intact(*batch)) {
@@ -144,13 +143,8 @@ sim::PollResult Distributor::poll(int socket) {
     const double batch_start_cycles = cycles;
     cycles += rt.distributor_per_batch_cycles;
 
-    // Stage seam, once per batch: RX delivery (DMA engine's stamp) ->
-    // this pickup, i.e. completion-ring wait plus poll scheduling.
-    if (batch->stage_ts != 0 && telemetry_.stages.enabled()) {
-      telemetry_.stages.record_n(telemetry::Stage::kDistributor,
-                                 t0 - batch->stage_ts,
-                                 batch->pkts().size());
-    }
+    // distributor = RX delivery -> pickup (ring wait + poll scheduling).
+    metrics_.batch_stage(*batch, StageSeam::kDistributor, t0);
 
     // Retire the batch against its replica's outstanding-bytes account.
     // Generation-checked: the entry may be gone when an unload raced the
@@ -183,7 +177,6 @@ sim::PollResult Distributor::poll(int socket) {
                     "batch record/mbuf count mismatch");
       Mbuf* m = pkts[records++];
       --metrics_.in_flight;
-      metrics_.ledger.on_stage(m, LedgerStage::kDistributor);
       metrics_.pkts_from_fpga->add(1);
       cycles += rt.distributor_per_pkt_cycles;
       RuntimeMetrics::NfAccCounters& c =
@@ -264,17 +257,8 @@ sim::PollResult Distributor::poll(int socket) {
           // Untimed event context: per-packet ibq-wait and end-to-end
           // records cost no modeled cycles and stay out of the benches'
           // timed poll sections.
-          const bool stages_on = telemetry_.stages.enabled();
           const Picos now = sim_.now();
-          for (const Delivery& d : **shared) {
-            if (metrics_.deliver(d.nf, d.m, now) && stages_on &&
-                d.m->rx_timestamp() != netio::kNoRxTimestamp &&
-                d.m->stage_ts() != netio::kNoRxTimestamp &&
-                d.m->stage_ts() >= d.m->rx_timestamp()) {
-              telemetry_.stages.record(telemetry::Stage::kIbqWait,
-                                       d.m->stage_ts() - d.m->rx_timestamp());
-            }
-          }
+          for (const Delivery& d : **shared) metrics_.deliver(d.nf, d.m, now);
           // Recycle the buffer for a later iteration on this socket.
           (*shared)->clear();
           sockets_[static_cast<std::size_t>(socket)].free_buffers.push_back(

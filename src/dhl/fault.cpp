@@ -81,9 +81,8 @@ std::uint64_t FaultInjector::injected(fpga::FaultSite site) const {
 }
 
 FallbackRouter::FallbackRouter(sim::Simulator& simulator,
-                               telemetry::Telemetry& telemetry,
                                RuntimeMetrics& metrics)
-    : sim_{simulator}, telemetry_{telemetry}, metrics_{metrics} {}
+    : sim_{simulator}, metrics_{metrics} {}
 
 void FallbackRouter::register_fallback(netio::NfId nf_id,
                                        const std::string& hf_name,
@@ -112,11 +111,11 @@ bool FallbackRouter::process(netio::NfId nf_id, const std::string& hf_name,
     const auto bit = batch_fns_.find({nf_id, hf_name});
     if (bit == batch_fns_.end()) return false;
     bit->second({&m, 1});
-    deliver(nf_id, m);
+    metrics_.deliver(nf_id, m, sim_.now(), LedgerStage::kFallback);
     return true;
   }
   it->second(*m);
-  deliver(nf_id, m);
+  metrics_.deliver(nf_id, m, sim_.now(), LedgerStage::kFallback);
   return true;
 }
 
@@ -127,28 +126,18 @@ bool FallbackRouter::process_batch(netio::NfId nf_id,
   if (const auto bit = batch_fns_.find({nf_id, hf_name});
       bit != batch_fns_.end()) {
     bit->second(pkts);
-    for (netio::Mbuf* m : pkts) deliver(nf_id, m);
+    for (netio::Mbuf* m : pkts) {
+      metrics_.deliver(nf_id, m, sim_.now(), LedgerStage::kFallback);
+    }
     return true;
   }
   const auto it = fns_.find({nf_id, hf_name});
   if (it == fns_.end()) return false;
   for (netio::Mbuf* m : pkts) {
     it->second(*m);
-    deliver(nf_id, m);
+    metrics_.deliver(nf_id, m, sim_.now(), LedgerStage::kFallback);
   }
   return true;
-}
-
-void FallbackRouter::deliver(netio::NfId nf_id, netio::Mbuf* m) {
-  metrics_.fallback_pkts->add(1);
-  metrics_.ledger.on_stage(m, LedgerStage::kFallback);
-  const Picos now = sim_.now();
-  if (metrics_.deliver(nf_id, m, now) && telemetry_.stages.enabled() &&
-      m->rx_timestamp() != netio::kNoRxTimestamp && now >= m->rx_timestamp()) {
-    // The fallback side path is the packet's whole post-ingress life.
-    telemetry_.stages.record(telemetry::Stage::kFallback,
-                             now - m->rx_timestamp());
-  }
 }
 
 std::optional<fpga::FaultSite> fault_site_from_string(std::string_view name) {

@@ -38,7 +38,7 @@ struct TenantStanza {
 /// completion_ring_size, numa_aware, dispatch_policy
 /// (numa_local|round_robin|least_outstanding_bytes), crc_check,
 /// auto_replicate, auto_replicate_threshold_bytes, max_auto_replicas,
-/// ledger, introspection.
+/// ledger, simd (scalar|sse42|aesni|avx2).
 void apply_runtime_config(const common::ConfigFile& file,
                           RuntimeConfig& config);
 

@@ -115,8 +115,7 @@ using FallbackBatchFn = std::function<void(std::span<netio::Mbuf* const>)>;
 
 class FallbackRouter {
  public:
-  FallbackRouter(sim::Simulator& simulator, telemetry::Telemetry& telemetry,
-                 RuntimeMetrics& metrics);
+  FallbackRouter(sim::Simulator& simulator, RuntimeMetrics& metrics);
 
   FallbackRouter(const FallbackRouter&) = delete;
   FallbackRouter& operator=(const FallbackRouter&) = delete;
@@ -145,13 +144,7 @@ class FallbackRouter {
                      std::span<netio::Mbuf* const> pkts);
 
  private:
-  /// Post-callback bookkeeping for one served packet: fallback counter and
-  /// ledger stage, then the shared OBQ terminal (RuntimeMetrics::deliver);
-  /// a delivered packet also records the kFallback stage.
-  void deliver(netio::NfId nf_id, netio::Mbuf* m);
-
   sim::Simulator& sim_;
-  telemetry::Telemetry& telemetry_;
   RuntimeMetrics& metrics_;
   std::map<std::pair<netio::NfId, std::string>, FallbackFn> fns_;
   std::map<std::pair<netio::NfId, std::string>, FallbackBatchFn> batch_fns_;

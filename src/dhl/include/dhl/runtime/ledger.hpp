@@ -5,15 +5,10 @@
 // DHL's isolation claim (paper IV-B) is that packets from many NFs can
 // share one IBQ, one DMA engine and per-NF OBQs without ever being lost,
 // duplicated, or misrouted.  The ledger turns that claim into a checkable
-// invariant: every mbuf the Packer dequeues is tracked through named
-// stages,
-//
-//   nic.rx -> ibq -> packer.append | fallback -> dma.tx -> fpga ->
-//   dma.rx -> distributor -> obq -> nf
-//
-// and must end its life in exactly one terminal -- delivered to an OBQ, or
-// counted at one of the drop sites (kDropSites).  The runtime reaches both
-// terminals only through RuntimeMetrics' drop/drop_all/deliver seam.
+// invariant: every mbuf the Packer dequeues is tracked through the named
+// stages of kStageSeams and must end its life in exactly one terminal --
+// delivered to an OBQ, or counted at one of the drop sites (kDropSites).
+// The runtime reaches stages and terminals only through RuntimeMetrics.
 // audit() reports anything else: leaks (tracked but never terminated),
 // double terminals, premature releases (freed while the ledger still has
 // the packet in flight), and terminal events for packets never tracked.
@@ -29,7 +24,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "dhl/fpga/batch.hpp"
 #include "dhl/netio/mbuf.hpp"
 #include "dhl/netio/mbuf_observer.hpp"
 #include "dhl/telemetry/telemetry.hpp"
@@ -124,11 +118,88 @@ static_assert(
     }(),
     "kDropSites rows must follow LedgerDrop order");
 
+/// Stage seams: the points where a packet or batch moves on, one row each
+/// in kStageSeams.  The ledger's stages come first, in LedgerStage order.
+enum class StageSeam : std::uint8_t {
+  kNicRx, kIbq, kPackerAppend, kFallback, kDmaTx, kFpga, kDmaRx, kDistributor,
+  kObq, kNf,
+  kFlush,     // Packer flushed the batch: stamps it, marks nothing
+  kRxSubmit,  // the fabric queued the batch on DMA RX: closes fpga
+  kCount,
+};
+
+inline constexpr LedgerStage kNoLedgerStage = LedgerStage::kCount;
+inline constexpr telemetry::Stage kNoInterval = telemetry::Stage::kCount;
+
+/// What a seam does: the ledger stage it marks and the stage-latency
+/// interval it closes (or none).  RuntimeMetrics drives both from this
+/// table; `name` doubles as the ledger stage's name (to_string).
+struct StageSeamRow {
+  StageSeam seam;
+  const char* name;
+  LedgerStage ledger;
+  telemetry::Stage closes;
+  bool per_batch;  // marks every parked packet at once
+  /// Sampled at OBQ delivery only, so the interval's count trails the
+  /// ledger's entries by the packets dropped (or never RX-timestamped).
+  bool on_delivery;
+};
+
+inline constexpr StageSeamRow kStageSeams[] = {
+    // seam, name, ledger stage, interval closed, per_batch, on_delivery
+    {StageSeam::kNicRx, "nic.rx", LedgerStage::kNicRx, kNoInterval, false,
+     false},
+    {StageSeam::kIbq, "ibq", LedgerStage::kIbq, telemetry::Stage::kIbqWait,
+     false, true},
+    {StageSeam::kPackerAppend, "packer.append", LedgerStage::kPackerAppend,
+     kNoInterval, false, false},
+    {StageSeam::kFallback, "fallback", LedgerStage::kFallback,
+     telemetry::Stage::kFallback, false, true},
+    // The doorbell records pack (first append -> flush stamp).
+    {StageSeam::kDmaTx, "dma.tx", LedgerStage::kDmaTx, telemetry::Stage::kPack,
+     true, false},
+    {StageSeam::kFpga, "fpga", LedgerStage::kFpga, telemetry::Stage::kDmaTx,
+     true, false},
+    {StageSeam::kDmaRx, "dma.rx", LedgerStage::kDmaRx, telemetry::Stage::kDmaRx,
+     true, false},
+    {StageSeam::kDistributor, "distributor", LedgerStage::kDistributor,
+     telemetry::Stage::kDistributor, true, false},
+    {StageSeam::kObq, "obq", LedgerStage::kObq, telemetry::Stage::kEndToEnd,
+     false, false},
+    {StageSeam::kNf, "nf", LedgerStage::kNf, kNoInterval, false, false},
+    {StageSeam::kFlush, "flush", kNoLedgerStage, kNoInterval, true, false},
+    {StageSeam::kRxSubmit, "rx.submit", kNoLedgerStage, telemetry::Stage::kFpga,
+     true, false},
+};
+
+constexpr const StageSeamRow& stage_seam(StageSeam seam) {
+  return kStageSeams[static_cast<std::size_t>(seam)];
+}
+
+static_assert(
+    [] {
+      constexpr auto kLedgerStages =
+          static_cast<std::size_t>(LedgerStage::kCount);
+      std::size_t i = 0;
+      for (const StageSeamRow& row : kStageSeams) {
+        if (static_cast<std::size_t>(row.seam) != i ||
+            (i < kLedgerStages && static_cast<std::size_t>(row.ledger) != i)) {
+          return false;
+        }
+        ++i;
+      }
+      return i == static_cast<std::size_t>(StageSeam::kCount);
+    }(),
+    "kStageSeams rows must follow StageSeam order, ledger stages first");
+
+constexpr const char* to_string(LedgerStage stage) {
+  return stage < LedgerStage::kCount ? stage_seam(StageSeam(stage)).name
+                                     : "unknown";
+}
+
 /// Ceiling on tenant lanes the ledger shards by (mirrors kMaxTenants in
 /// tenant.hpp without coupling the headers).
 inline constexpr std::size_t kLedgerTenantLanes = 16;
-
-const char* to_string(LedgerStage stage);
 
 /// Result of LifecycleLedger::audit().  `clean()` is the invariant every
 /// well-behaved run must satisfy after draining: no packet still open, no
@@ -204,8 +275,6 @@ class LifecycleLedger final : public netio::MbufLifecycleObserver {
   /// Stage transition (idempotent: re-entering the current stage, e.g. a
   /// DMA submit retry, is a no-op).  Ignored for untracked packets.
   void on_stage(const netio::Mbuf* m, LedgerStage stage);
-  /// Stage transition for every packet parked in `batch`.
-  void on_batch_stage(const fpga::DmaBatch& batch, LedgerStage stage);
   /// Terminal: delivered to its NF's private OBQ.
   void on_delivered(const netio::Mbuf* m);
   /// Terminal: dropped at `site`.
@@ -275,7 +344,6 @@ class LifecycleLedger {
   bool enabled() const { return false; }
   void on_ingress(const netio::Mbuf*) {}
   void on_stage(const netio::Mbuf*, LedgerStage) {}
-  void on_batch_stage(const fpga::DmaBatch&, LedgerStage) {}
   void on_delivered(const netio::Mbuf*) {}
   void on_drop(const netio::Mbuf*, LedgerDrop) {}
   void set_tenant_resolver(LedgerTenantIdFn, LedgerTenantNameFn) {}

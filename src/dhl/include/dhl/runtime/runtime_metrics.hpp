@@ -2,7 +2,7 @@
 
 // Shared data-plane state of the DHL Runtime: the counters and instruments
 // the Packer, Distributor and FallbackRouter all account against, and the
-// packet-terminal seam (DESIGN.md section 3.4).
+// packet-event seam (DESIGN.md section 3.4).
 //
 // A packet's life ends in exactly one of two ways -- delivered to its NF's
 // private OBQ, or dropped at one of the LedgerDrop sites.  drop(),
@@ -10,11 +10,15 @@
 // updates the site's counter (kDropSites), the ledger, the tenant tallies
 // and the flight recorder, then releases or enqueues the mbuf.  Cycle
 // charges and in_flight accounting stay with the callers.
+// On the way, ingress(), stage() and batch_stage() are the only places that
+// move a packet between stages (kStageSeams: ledger stage + stage-latency
+// interval, against the rolling stamp on the mbuf or batch).
 
 #include <map>
 #include <span>
 #include <vector>
 
+#include "dhl/fpga/batch.hpp"
 #include "dhl/netio/mbuf.hpp"
 #include "dhl/runtime/ledger.hpp"
 #include "dhl/runtime/tenant.hpp"
@@ -33,6 +37,47 @@ class RuntimeMetrics {
   RuntimeMetrics(const RuntimeMetrics&) = delete;
   RuntimeMetrics& operator=(const RuntimeMetrics&) = delete;
 
+  // --- stage seams ----------------------------------------------------------
+
+  /// Packer IBQ dequeue: opens the ledger lifecycle, stamps for ibq_wait.
+  void ingress(netio::Mbuf* m, Picos now) {
+    m->set_stage_ts(now);
+    ledger.on_ingress(m);
+  }
+
+  /// Per-packet seam: marks `stage` for `m`; closes no interval.
+  void stage(const netio::Mbuf* m, LedgerStage stage) {
+    ledger.on_stage(m, stage);
+  }
+
+  /// Per-batch seam: marks every parked packet, closes the seam's interval
+  /// with one record_n and restamps the batch for the next seam.
+  void batch_stage(fpga::DmaBatch& batch, StageSeam seam, Picos now) {
+    const StageSeamRow& row = stage_seam(seam);
+    if (row.ledger != kNoLedgerStage) {
+      for (const netio::Mbuf* m : batch.pkts()) ledger.on_stage(m, row.ledger);
+    }
+    if (!telemetry_.stages.enabled()) return;
+    if (row.closes != kNoInterval) {
+      if (batch.stage_ts == 0) return;  // never flushed by the runtime
+      if (seam == StageSeam::kDmaTx) {
+        close_pack(batch);
+        return;
+      }
+      // The parked mbufs, or the records of a batch built without them.
+      telemetry_.stages.record_n(row.closes, now - batch.stage_ts,
+                                 batch.pkts().empty() ? batch.record_count()
+                                                      : batch.pkts().size());
+    }
+    batch.stage_ts = now;
+  }
+
+  /// A DMA TX submit retry waits `backoff` (dhl.dma.retries, retry_backoff).
+  void retry(Picos backoff) {
+    dma_retries->add(1);
+    telemetry_.stages.record(telemetry::Stage::kRetryBackoff, backoff);
+  }
+
   // --- packet terminals -----------------------------------------------------
 
   /// Terminal: drop `m` at `site` -- site counter, ledger, tenant tally, one
@@ -44,9 +89,12 @@ class RuntimeMetrics {
                 std::uint64_t batch_id);
   /// Terminal: enqueue `m` on NF `nf`'s private OBQ, or drop it at
   /// LedgerDrop::kObq when `nf` is unregistered or the OBQ is full (the
-  /// latter also counts dhl.nf.obq_drops).  On delivery, records the
-  /// packet's end-to-end latency at `now`.  True when delivered.
-  bool deliver(std::size_t nf, netio::Mbuf* m, Picos now);
+  /// latter also counts dhl.nf.obq_drops).  `via` is kDistributor, or
+  /// kFallback for a packet the software fallback served (counted and
+  /// marked here).  On delivery, records end_to_end plus ibq_wait -- or
+  /// fallback, for the side path -- at `now`.  True when delivered.
+  bool deliver(std::size_t nf, netio::Mbuf* m, Picos now,
+               LedgerStage via = LedgerStage::kDistributor);
 
   /// Hot-path counters for one (nf_id, acc_id) pair, created lazily on
   /// first packet so the registry only carries live series.
@@ -121,6 +169,9 @@ class RuntimeMetrics {
   void account_drop(const netio::Mbuf* m, LedgerDrop site);
   void log_drop(LedgerDrop site, netio::NfId nf, std::size_t count,
                 std::uint64_t batch_id);
+  /// The doorbell's pack record (first append -> flush stamp, deferred out
+  /// of the timed poll) and batch.flush flight event.
+  void close_pack(const fpga::DmaBatch& batch);
 
   sim::Simulator& sim_;
   telemetry::Telemetry& telemetry_;

@@ -154,11 +154,6 @@ struct RuntimeConfig {
   /// teardown.  Only effective in ledger-compiled builds (DHL_LEDGER=1,
   /// i.e. every build type except Release); compiled to no-ops otherwise.
   bool ledger = true;
-  /// Live introspection layer (DESIGN.md section 7): per-stage latency
-  /// histograms and the flight recorder.  Always-on by design -- unlike the
-  /// ledger it survives Release builds; the off position exists for the
-  /// bench_micro overhead A/B and costs one predicted branch per seam.
-  bool introspection = true;
   /// Shared telemetry context; when null the runtime creates a private one.
   telemetry::TelemetryPtr telemetry;
 };

@@ -6,34 +6,6 @@
 
 namespace dhl::runtime {
 
-const char* to_string(LedgerStage stage) {
-  switch (stage) {
-    case LedgerStage::kNicRx:
-      return "nic.rx";
-    case LedgerStage::kIbq:
-      return "ibq";
-    case LedgerStage::kPackerAppend:
-      return "packer.append";
-    case LedgerStage::kFallback:
-      return "fallback";
-    case LedgerStage::kDmaTx:
-      return "dma.tx";
-    case LedgerStage::kFpga:
-      return "fpga";
-    case LedgerStage::kDmaRx:
-      return "dma.rx";
-    case LedgerStage::kDistributor:
-      return "distributor";
-    case LedgerStage::kObq:
-      return "obq";
-    case LedgerStage::kNf:
-      return "nf";
-    case LedgerStage::kCount:
-      break;
-  }
-  return "unknown";
-}
-
 const LedgerAudit::TenantTally* LedgerAudit::tenant(
     const std::string& name) const {
   for (const TenantTally& t : tenants) {
@@ -163,12 +135,6 @@ void LifecycleLedger::on_stage(const netio::Mbuf* m, LedgerStage stage) {
   if (it->second.stage == stage) return;  // idempotent (e.g. DMA retries)
   it->second.stage = stage;
   ++stage_entries_[static_cast<std::size_t>(stage)];
-}
-
-void LifecycleLedger::on_batch_stage(const fpga::DmaBatch& batch,
-                                     LedgerStage stage) {
-  if (!enabled_) return;
-  for (const netio::Mbuf* m : batch.pkts()) on_stage(m, stage);
 }
 
 LifecycleLedger::Record* LifecycleLedger::terminal_record(

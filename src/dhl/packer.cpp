@@ -117,16 +117,13 @@ void Packer::fallback_or_drop(fpga::DmaBatchPtr batch,
 
 void Packer::submit_with_retry(fpga::FpgaDevice* dev, fpga::DmaBatchPtr batch,
                                std::uint32_t attempt) {
-  // Idempotent: retries and redirects re-mark the same stage, a no-op.
-  metrics_.ledger.on_batch_stage(*batch, LedgerStage::kDmaTx);
   if (dev->dma().try_submit_tx(batch)) return;
   const auto& rt = config_.timing.runtime;
   if (attempt < rt.dma_submit_max_retries) {
     // Lost doorbell: retry after a bounded exponential backoff, all on the
     // virtual clock (attempt n waits backoff << n).
-    metrics_.dma_retries->add(1);
     const Picos backoff = rt.dma_retry_backoff << attempt;
-    telemetry_.stages.record(telemetry::Stage::kRetryBackoff, backoff);
+    metrics_.retry(backoff);
     telemetry_.recorder.log(telemetry::FlightComponent::kDma, sim_.now(),
                             telemetry::FlightEventKind::kDmaRetry,
                             batch->hf_name,
@@ -277,11 +274,8 @@ double Packer::flush_batch(int socket, AccId acc_id, OpenBatch&& open,
          {"records", std::to_string(batch->record_count())},
          {"reason", reason == FlushReason::kFull ? "full" : "timeout"}});
   }
-  // Stage seam: stamp the flush time only -- one store in the timed poll.
-  // The pack-seam histogram record and the flush flight-event are deferred
-  // to the doorbell event (untimed context); the stamp also starts the
-  // dma.tx seam, which the DMA engine closes at TX delivery.
-  if (telemetry_.stages.enabled()) batch->stage_ts = sim_.now();
+  // Stamp only: pack is recorded at the (untimed) doorbell.
+  metrics_.batch_stage(*batch, StageSeam::kFlush, sim_.now());
   pending.emplace_back(dev, std::move(batch));
 
   // Replication pressure valve: a backed-up replica asks the control plane
@@ -329,16 +323,12 @@ sim::PollResult Packer::poll(int socket) {
   }
   const std::uint32_t cap = batch_cap(state);
 
-  // Hoisted: one branch + one store per packet is the whole per-packet cost
-  // of the introspection layer inside this timed loop (the bench_micro A/B
-  // gate holds it under 2% of host ns/pkt).
-  const bool stages_on = telemetry_.stages.enabled();
+  // One stamp store per packet: the stage seam's cost in this timed loop.
   const Picos ingress_now = sim_.now();
 
   for (std::size_t i = 0; i < n; ++i) {
     Mbuf* m = pkts[i];
-    if (stages_on) m->set_stage_ts(ingress_now);
-    metrics_.ledger.on_ingress(m);
+    metrics_.ingress(m, ingress_now);
     const AccId acc_id = m->acc_id();
     const TenantId tenant = metrics_.tenants.tenant_of(m->nf_id());
     // Bytes leave the tenant's queued bucket the moment they leave the IBQ,
@@ -416,7 +406,7 @@ sim::PollResult Packer::poll(int socket) {
       open.batch->append(m->nf_id(), m->payload(), m);
       metrics_.copy_bytes->add(m->data_len());
     }
-    metrics_.ledger.on_stage(m, LedgerStage::kPackerAppend);
+    metrics_.stage(m, LedgerStage::kPackerAppend);
     RuntimeMetrics::NfAccCounters& c = metrics_.nf_acc(m->nf_id(), acc_id);
     c.pkts->add(1);
     c.bytes->add(m->data_len());
@@ -467,24 +457,9 @@ sim::PollResult Packer::poll(int socket) {
   if (!pending.empty()) {
     auto shared = std::make_shared<PendingSubmits>(std::move(pending));
     sim_.schedule_after(cpu.core_clock.cycles(cycles), [this, shared] {
-      const bool stages_on = telemetry_.stages.enabled();
       for (auto& [dev, batch] : *shared) {
-        // Deferred pack-seam accounting (untimed event context): one
-        // record covers every packet in the batch (they all waited from
-        // first_pkt_enqueued_at to the flush stamp); stage_ts still holds
-        // that stamp until TX delivery restamps it.
-        if (stages_on && batch->stage_ts != 0) {
-          telemetry_.stages.record_n(
-              telemetry::Stage::kPack,
-              batch->stage_ts - batch->first_pkt_enqueued_at,
-              static_cast<std::uint64_t>(batch->record_count()));
-          telemetry_.recorder.log(
-              telemetry::FlightComponent::kPacker, batch->stage_ts,
-              telemetry::FlightEventKind::kBatchFlush, batch->hf_name,
-              static_cast<std::int16_t>(batch->record_count()),
-              static_cast<std::int32_t>(batch->size_bytes()),
-              batch->batch_id);
-        }
+        // Once per batch: retries and redirects stay in dma.tx.
+        metrics_.batch_stage(*batch, StageSeam::kDmaTx, sim_.now());
         submit_with_retry(dev, std::move(batch), 0);
       }
     });

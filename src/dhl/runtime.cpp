@@ -20,7 +20,7 @@ DhlRuntime::DhlRuntime(sim::Simulator& simulator, RuntimeConfig config,
       policy_{make_dispatch_policy(config_.dispatch_policy)},
       tenants_{&telemetry_->metrics},
       metrics_{simulator, *telemetry_, ledger_, tenants_, nfs_},
-      fallback_{simulator, *telemetry_, metrics_},
+      fallback_{simulator, metrics_},
       pools_{config_.num_sockets, config_.batch_pool_capacity,
              config_.timing.runtime.max_batch_bytes + fpga::kRecordHeaderBytes,
              *telemetry_},
@@ -33,11 +33,6 @@ DhlRuntime::DhlRuntime(sim::Simulator& simulator, RuntimeConfig config,
   ledger_.set_tenant_resolver(
       [this](NfId nf_id) { return tenants_.tenant_of(nf_id); },
       [this](std::uint8_t id) { return tenants_.tenant_name(id); });
-  // Introspection layer (DESIGN.md section 7): one master switch covers the
-  // stage recorder and the flight recorder; the A/B bench flips it to
-  // measure the layer's hot-path overhead.
-  telemetry_->stages.set_enabled(config_.introspection);
-  telemetry_->recorder.set_enabled(config_.introspection);
   table_.set_health_params(config_.timing.runtime.replica_quarantine_failures,
                            config_.timing.runtime.replica_quarantine_period);
   // Surface the active policy as a labelled gauge so dashboards can tell
@@ -66,16 +61,14 @@ DhlRuntime::DhlRuntime(sim::Simulator& simulator, RuntimeConfig config,
     dev->dma().set_rx_deliver([this, target](fpga::DmaBatchPtr batch) {
       distributor_.enqueue_completion(target, std::move(batch));
     });
-    dev->dma().set_stage_recorder(&telemetry_->stages);
-    if (kLedgerCompiled && config_.ledger) {
-      // TX completion = the bytes reached the FPGA; the ledger marks every
-      // parked packet.  Not wired at all when auditing is off, so the
-      // DMA delivery path keeps its null-observer fast path.
-      dev->dma().set_transfer_observer(
-          [this](const fpga::DmaBatch& batch, bool is_tx) {
-            if (is_tx) ledger_.on_batch_stage(batch, LedgerStage::kFpga);
-          });
-    }
+    // The engine's three round-trip events are stage seams.
+    dev->dma().set_transfer_observer(
+        [this](fpga::DmaBatch& batch, fpga::TransferEvent event) {
+          static constexpr StageSeam kSeams[] = {
+              StageSeam::kFpga, StageSeam::kRxSubmit, StageSeam::kDmaRx};
+          metrics_.batch_stage(batch, kSeams[static_cast<int>(event)],
+                               sim_.now());
+        });
   }
 }
 

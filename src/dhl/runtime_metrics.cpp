@@ -78,7 +78,24 @@ void RuntimeMetrics::drop_all(std::span<Mbuf* const> pkts, LedgerDrop site,
   }
 }
 
-bool RuntimeMetrics::deliver(std::size_t nf, Mbuf* m, Picos now) {
+void RuntimeMetrics::close_pack(const fpga::DmaBatch& batch) {
+  telemetry_.stages.record_n(telemetry::Stage::kPack,
+                             batch.stage_ts - batch.first_pkt_enqueued_at,
+                             batch.record_count());
+  telemetry_.recorder.log(telemetry::FlightComponent::kPacker, batch.stage_ts,
+                          telemetry::FlightEventKind::kBatchFlush,
+                          batch.hf_name,
+                          static_cast<std::int16_t>(batch.record_count()),
+                          static_cast<std::int32_t>(batch.size_bytes()),
+                          batch.batch_id);
+}
+
+bool RuntimeMetrics::deliver(std::size_t nf, Mbuf* m, Picos now,
+                             LedgerStage via) {
+  if (via == LedgerStage::kFallback) {
+    fallback_pkts->add(1);
+    stage(m, via);
+  }
   if (nf >= nfs_.size()) {
     drop(m, LedgerDrop::kObq);
     return false;
@@ -93,10 +110,17 @@ bool RuntimeMetrics::deliver(std::size_t nf, Mbuf* m, Picos now) {
   }
   ledger.on_delivered(m);
   tenants.count_delivered(static_cast<netio::NfId>(nf));
-  if (telemetry_.stages.enabled() &&
-      m->rx_timestamp() != netio::kNoRxTimestamp && now >= m->rx_timestamp()) {
-    telemetry_.stages.record_e2e(static_cast<std::uint8_t>(nf),
-                                 now - m->rx_timestamp());
+  telemetry::StageLatencyRecorder& stages = telemetry_.stages;
+  const Picos rx = m->rx_timestamp();
+  if (!stages.enabled() || rx == netio::kNoRxTimestamp || now < rx) {
+    return true;
+  }
+  stages.record_e2e(static_cast<std::uint8_t>(nf), now - rx);
+  if (via == LedgerStage::kFallback) {
+    // The side path is the packet's whole post-ingress life.
+    stages.record(telemetry::Stage::kFallback, now - rx);
+  } else if (m->stage_ts() != netio::kNoRxTimestamp && m->stage_ts() >= rx) {
+    stages.record(telemetry::Stage::kIbqWait, m->stage_ts() - rx);
   }
   return true;
 }

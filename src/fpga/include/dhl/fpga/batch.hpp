@@ -151,9 +151,8 @@ class DmaBatch {
   /// Virtual time bookkeeping for latency accounting / tests.
   Picos created_at = 0;
   Picos first_pkt_enqueued_at = 0;
-  /// Virtual time the batch crossed the last pipeline stage seam (flush ->
-  /// dma.tx delivery -> rx submit -> dma.rx delivery); each seam records
-  /// `now - stage_ts` into the StageLatencyRecorder and restamps.  0 =
+  /// Virtual time the batch crossed its last stage seam (flush, TX
+  /// delivery, RX submit, ...); owned by the runtime's stage seam.  0 =
   /// never stamped (batches built outside the runtime).
   Picos stage_ts = 0;
   /// True when the DMA transferred via the remote NUMA path.

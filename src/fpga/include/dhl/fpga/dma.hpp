@@ -30,7 +30,6 @@
 #include "dhl/sim/simulator.hpp"
 #include "dhl/sim/timing_params.hpp"
 #include "dhl/telemetry/metrics.hpp"
-#include "dhl/telemetry/stage_stats.hpp"
 #include "dhl/telemetry/trace.hpp"
 
 namespace dhl::fpga {
@@ -38,6 +37,13 @@ namespace dhl::fpga {
 enum class DmaDriver : std::uint8_t {
   kUioPoll,   // DHL's userspace-IO poll-mode driver
   kInKernel,  // reference in-kernel driver (interrupt + syscalls)
+};
+
+/// The points of a round trip the transfer observer sees, in order.
+enum class TransferEvent : std::uint8_t {
+  kTxDelivered,  // host->FPGA bytes arrived, before the Dispatcher runs
+  kRxSubmitted,  // the fabric finished the batch and queued it on RX
+  kRxDelivered,  // FPGA->host bytes arrived, before the host's hook runs
 };
 
 class DmaEngine {
@@ -59,11 +65,10 @@ class DmaEngine {
   /// (the runtime's transfer layer hooks this).
   void set_rx_deliver(DeliverFn fn) { rx_deliver_ = std::move(fn); }
 
-  /// Observation-only tap fired at each transfer completion, just before
-  /// the deliver hook (`is_tx` = host->FPGA direction).  The runtime's
-  /// lifecycle ledger uses this to mark batches as having reached the
-  /// FPGA; null (the default) costs nothing.
-  using TransferObserver = std::function<void(const DmaBatch&, bool is_tx)>;
+  /// The engine's only observation tap, fired once per TransferEvent of a
+  /// round trip (deliveries just before the deliver hook, RX submit once
+  /// the wire bytes are final).  The runtime's stage seam hangs here.
+  using TransferObserver = std::function<void(DmaBatch&, TransferEvent)>;
   void set_transfer_observer(TransferObserver observer) {
     transfer_observer_ = std::move(observer);
   }
@@ -78,15 +83,6 @@ class DmaEngine {
     rx_latency_ = rx_latency;
     trace_ = trace;
     track_ = std::move(track);
-  }
-
-  /// Attach the per-stage latency decomposition (DESIGN.md section 7).
-  /// The engine records three seams per round trip against the batch's
-  /// rolling `stage_ts`: dma.tx (flush -> TX delivery), fpga (TX delivery
-  /// -> RX submit) and dma.rx (RX submit -> RX delivery), one record_n per
-  /// batch.  Null (the default) costs nothing.
-  void set_stage_recorder(telemetry::StageLatencyRecorder* stages) {
-    stages_ = stages;
   }
 
   /// Fault-injection seam (DESIGN.md section 3.3).  A null hook -- the
@@ -220,22 +216,10 @@ class DmaEngine {
         }
       }
     }
-    const std::uint64_t bytes = batch->size_bytes();
-    // Stage seams.  An RX submit happens when the fabric finishes the
-    // batch, so `now - stage_ts` (stamped at TX delivery) is the FPGA
-    // residency; a TX submit leaves the Packer's flush stamp in place so
-    // the dma.tx seam covers doorbell deferral and retry waits too.
-    std::uint64_t stage_pkts = 0;
-    if (stages_ != nullptr && stages_->enabled()) {
-      stage_pkts = batch->pkts().empty()
-                       ? static_cast<std::uint64_t>(batch->record_count())
-                       : static_cast<std::uint64_t>(batch->pkts().size());
-      if (!is_tx && batch->stage_ts != 0) {
-        stages_->record_n(telemetry::Stage::kFpga, sim_.now() - batch->stage_ts,
-                          stage_pkts);
-        batch->stage_ts = sim_.now();
-      }
+    if (!is_tx && transfer_observer_) {
+      transfer_observer_(*batch, TransferEvent::kRxSubmitted);
     }
+    const std::uint64_t bytes = batch->size_bytes();
     const Picos start = ch.busy_until > sim_.now() ? ch.busy_until : sim_.now();
     ch.busy_until = start + occupancy(bytes);
     ch.transfers += 1;
@@ -259,22 +243,13 @@ class DmaEngine {
     DHL_CHECK_MSG(static_cast<bool>(fn), "DMA channel has no deliver hook");
     // The shared_ptr shim lets the move-only batch ride a std::function.
     auto shared = std::make_shared<DmaBatchPtr>(std::move(batch));
-    sim_.schedule_at(deliver_at, [this, &fn, &ch, bytes, is_tx, stage_pkts,
-                                  shared] {
+    sim_.schedule_at(deliver_at, [this, &fn, &ch, bytes, is_tx, shared] {
       ch.outstanding_bytes -= bytes;
       ch.outstanding_transfers -= 1;
-      // Untimed event context: the per-batch stage record costs no modeled
-      // host cycles.  dma.tx = flush -> TX delivery; dma.rx = RX submit ->
-      // RX delivery.  Restamp so the next seam measures from here.
-      DmaBatch& b = **shared;
-      if (stages_ != nullptr && stages_->enabled() && b.stage_ts != 0 &&
-          stage_pkts > 0) {
-        stages_->record_n(
-            is_tx ? telemetry::Stage::kDmaTx : telemetry::Stage::kDmaRx,
-            sim_.now() - b.stage_ts, stage_pkts);
-        b.stage_ts = sim_.now();
+      if (transfer_observer_) {
+        transfer_observer_(**shared, is_tx ? TransferEvent::kTxDelivered
+                                           : TransferEvent::kRxDelivered);
       }
-      if (transfer_observer_) transfer_observer_(**shared, is_tx);
       fn(std::move(*shared));
     });
   }
@@ -291,7 +266,6 @@ class DmaEngine {
   telemetry::Histogram* rx_latency_ = nullptr;
   telemetry::TraceSession* trace_ = nullptr;
   std::string track_;
-  telemetry::StageLatencyRecorder* stages_ = nullptr;
   FaultHook* fault_hook_ = nullptr;
   int fault_fpga_id_ = -1;
   /// One-shot: try_submit_tx sampled a partial-transfer fault; the next

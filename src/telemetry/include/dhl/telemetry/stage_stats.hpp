@@ -3,19 +3,12 @@
 // StageLatencyRecorder: per-stage tail-latency decomposition on the virtual
 // clock (DESIGN.md section 7).
 //
-// One HdrHistogram per pipeline stage, recorded at the same seams the
-// lifecycle ledger marks (ibq wait -> pack -> dma.tx -> fpga -> dma.rx ->
-// distributor, plus the fallback and retry side paths) -- but independent of
-// the ledger, which is compiled out of Release builds.  A packet's
-// end-to-end latency (NIC RX timestamp -> OBQ delivery) is recorded per NF,
-// so "where is the p999 going" decomposes into "which stage ate it".
-//
-// Hot-path cost discipline: the batched stages record once per *batch* with
-// record_n (every packet in a batch shares the segment's two timestamps);
-// the only per-packet work inside a timed poll loop is one enabled check
-// and one timestamp store (Packer ingress).  Per-packet e2e / ibq-wait
-// records happen inside the deferred delivery event, outside the timed
-// sections.  The bench_micro introspection A/B measures this budget.
+// One HdrHistogram per pipeline stage, fed only by the runtime's stage
+// seam (kStageSeams, DESIGN.md section 3.4), which also marks the ledger's
+// stages -- but the histograms survive Release builds, the ledger does not.
+// A packet's end-to-end latency (NIC RX timestamp -> OBQ delivery) is
+// recorded per NF, so "where is the p999 going" decomposes into "which
+// stage ate it".  Batched stages record once per batch with record_n.
 //
 // Not thread-safe: single-writer (the simulation thread); exporters
 // serialize on the same thread and publish strings.
