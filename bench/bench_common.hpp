@@ -786,7 +786,7 @@ inline std::vector<KernelAbRow> run_kernel_ab(int blocks = 40) {
     measure("aes256_ctr", in.size(), 200,
             [&] { crypto::aes256_ctr(cipher, ctr, in, out); });
   }
-  {  // ac_multilane: a full lane group of MTU payloads, the batch-fallback
+  {  // ac_multilane: a full lane group of MTU payloads, the fallback-run
     // shape (random patterns approximate a small Snort content set).
     std::vector<std::string> patterns;
     for (int i = 0; i < 48; ++i) {
@@ -837,12 +837,15 @@ struct FallbackAb {
   double vector_ns_per_pkt = 0;
   double speedup = 0;
   std::uint64_t fallback_pkts = 0;  ///< served via fallback across both arms
+  /// Fallback callback invocations across both arms: fallback_pkts /
+  /// fallback_calls is the run length the multi-lane kernel actually sees.
+  std::uint64_t fallback_calls = 0;
 };
 
 /// Quarantine stress A/B: every pattern-matching replica is held in
 /// permanent quarantine by a device fault, so bursts flow Packer ->
-/// FallbackRouter -> batch fallback (PatternMatchingModule::process_multi,
-/// i.e. the multi-lane AC kernel) and back out the OBQ.  The timed section
+/// FallbackRouter -> run fallback (PatternMatchingModule::process_run, i.e.
+/// the multi-lane AC kernel) and back out the OBQ.  The timed section
 /// is the Packer poll that runs the fallback; flipping the ISA cap between
 /// arms shows how much of the kernel speedup survives runtime framing.
 /// Frame/burst are chosen so each 6 KB batch holds exactly kLanes records:
@@ -880,18 +883,12 @@ inline FallbackAb run_fallback_quarantine_ab(int blocks = 24,
                 .kind = fpga::FaultKind::kDeviceUnhealthy});
 
   accel::PatternMatchingModule soft{automaton};
-  std::vector<std::span<std::uint8_t>> datas;
-  std::vector<std::uint64_t> results;
-  rt.register_fallback_batch(
-      nf, "pattern-matching", [&](std::span<Mbuf* const> pkts) {
-        datas.clear();
-        results.assign(pkts.size(), 0);
-        for (Mbuf* m : pkts) datas.emplace_back(m->data(), m->data_len());
-        soft.process_multi(datas, results);
-        for (std::size_t i = 0; i < pkts.size(); ++i) {
-          pkts[i]->set_accel_result(results[i]);
-        }
-      });
+  std::uint64_t calls = 0;
+  rt.register_fallback(nf, "pattern-matching",
+                       [&](std::span<Mbuf* const> pkts) {
+                         ++calls;
+                         soft.process_run(pkts);
+                       });
 
   netio::MbufPool pool{"fallback-ab", kBurst * 4, 2048, 0};
   // Per-packet random payloads, a few with embedded pattern text: a
@@ -972,6 +969,7 @@ inline FallbackAb run_fallback_quarantine_ab(int blocks = 24,
                    : 0;
   ab.fallback_pkts = static_cast<std::uint64_t>(
       rt.telemetry().metrics.snapshot().sum("dhl.fallback.pkts"));
+  ab.fallback_calls = calls;
   for (Mbuf* m : pkts) m->release();
   return ab;
 }
@@ -994,9 +992,12 @@ inline std::vector<KernelAbRow> run_kernel_ab_suite(FallbackAb* fb_out =
   print_title("quarantine fallback path: e2e ns/pkt, scalar cap vs native");
   const FallbackAb fb = run_fallback_quarantine_ab();
   std::printf("scalar cap:  %8.1f ns/pkt\n", fb.scalar_ns_per_pkt);
-  std::printf("native ISA:  %8.1f ns/pkt  (%.2fx, %llu pkts via fallback)\n",
-              fb.vector_ns_per_pkt, fb.speedup,
-              static_cast<unsigned long long>(fb.fallback_pkts));
+  std::printf(
+      "native ISA:  %8.1f ns/pkt  (%.2fx, %llu pkts via fallback in %llu "
+      "calls)\n",
+      fb.vector_ns_per_pkt, fb.speedup,
+      static_cast<unsigned long long>(fb.fallback_pkts),
+      static_cast<unsigned long long>(fb.fallback_calls));
   if (fb_out != nullptr) *fb_out = fb;
   return rows;
 }
@@ -1068,7 +1069,10 @@ inline bool write_transfer_micro_json(
       << "    \"scalar_ns_per_pkt\": " << fb->scalar_ns_per_pkt << ",\n"
       << "    \"vector_ns_per_pkt\": " << fb->vector_ns_per_pkt << ",\n"
       << "    \"speedup\": " << fb->speedup << ",\n"
-      << "    \"fallback_pkts\": " << fb->fallback_pkts << "\n"
+      << "    \"fallback_pkts\": " << fb->fallback_pkts << ",\n"
+      // CI's Release perf gate asserts fallback_pkts / fallback_calls >= 8:
+      // the A/B only measures the vector kernel if it sees lane groups.
+      << "    \"fallback_calls\": " << fb->fallback_calls << "\n"
       << "  },\n";
   }
   // The ratio is the CI-gated metric: it compares the two modes within one

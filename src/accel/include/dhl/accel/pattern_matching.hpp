@@ -24,6 +24,7 @@
 #include "dhl/fpga/accelerator.hpp"
 #include "dhl/fpga/bitstream.hpp"
 #include "dhl/match/aho_corasick.hpp"
+#include "dhl/netio/mbuf.hpp"
 
 namespace dhl::accel {
 
@@ -57,14 +58,14 @@ class PatternMatchingModule final : public fpga::AcceleratorModule {
 
   fpga::ProcessResult process(std::span<std::uint8_t> data) override;
 
-  /// Batch form of process(): walks several records' payloads through the
+  /// Batch form of process() and the software-fallback kernel
+  /// (DHL_register_fallback): walks one run of packets through the
   /// automaton's multi-lane stepper (find_all_multi) so the per-byte DFA
-  /// loads of up to AhoCorasick::kLanes packets overlap.  `results[i]` is
-  /// exactly `process(datas[i]).result`; the module never rewrites bytes,
-  /// so that is the whole observable effect.  This is the kernel behind the
-  /// batch software fallback (DHL_register_fallback_batch).
-  void process_multi(std::span<const std::span<std::uint8_t>> datas,
-                     std::span<std::uint64_t> results);
+  /// loads of up to AhoCorasick::kLanes packets overlap, and stores each
+  /// packet's result word as its accel_result.  The word is exactly
+  /// `process(packet bytes).result`; the module never rewrites bytes, so
+  /// that is the whole observable effect.
+  void process_run(std::span<netio::Mbuf* const> pkts);
 
  private:
   std::shared_ptr<const match::AhoCorasick> automaton_;
@@ -73,7 +74,7 @@ class PatternMatchingModule final : public fpga::AcceleratorModule {
   /// match-vector register anyway).  `touched_` lists the entries to clear.
   std::vector<std::uint8_t> seen_;
   std::vector<std::uint32_t> touched_;
-  /// process_multi scratch (haystack spans + per-lane match lists), reused
+  /// process_run scratch (haystack spans + per-lane match lists), reused
   /// across batches to keep the fallback hot path allocation-free at
   /// steady state.
   std::vector<std::span<const std::uint8_t>> lane_haystacks_;

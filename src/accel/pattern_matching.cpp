@@ -58,17 +58,15 @@ fpga::ProcessResult PatternMatchingModule::process(
   return {result, len, /*data_unmodified=*/true};
 }
 
-void PatternMatchingModule::process_multi(
-    std::span<const std::span<std::uint8_t>> datas,
-    std::span<std::uint64_t> results) {
-  DHL_CHECK(results.size() >= datas.size());
-  const std::size_t n = datas.size();
+void PatternMatchingModule::process_run(std::span<netio::Mbuf* const> pkts) {
+  const std::size_t n = pkts.size();
   if (lane_matches_.size() < n) lane_matches_.resize(n);
   lane_haystacks_.clear();
-  for (const auto& data : datas) {
+  for (const netio::Mbuf* m : pkts) {
+    const std::span<const std::uint8_t> data = m->payload();
     const netio::PacketView view = netio::parse_packet(data);
     const std::size_t start = view.valid ? view.payload_offset : 0;
-    lane_haystacks_.push_back({data.data() + start, data.size() - start});
+    lane_haystacks_.push_back(data.subspan(start));
   }
   for (std::size_t i = 0; i < n; ++i) lane_matches_[i].clear();
   automaton_->find_all_multi(lane_haystacks_,
@@ -91,7 +89,8 @@ void PatternMatchingModule::process_multi(
     for (const std::uint32_t p : touched_) seen_[p] = 0;
     touched_.clear();
     if (distinct > 0xffff) distinct = 0xffff;
-    results[i] = bitmap | (static_cast<std::uint64_t>(distinct) << 48);
+    pkts[i]->set_accel_result(bitmap |
+                              (static_cast<std::uint64_t>(distinct) << 48));
   }
 }
 

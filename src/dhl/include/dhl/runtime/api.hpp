@@ -113,26 +113,17 @@ inline std::size_t DHL_receive_packets(netio::MbufRing& obq,
 
 /// Register a software implementation of `hf_name` for this NF, used by
 /// the runtime when every replica of the hardware function is quarantined
-/// (DESIGN.md section 3.3).  The callback receives each tagged packet and
-/// must leave payload bytes and accel_result exactly as the accelerator
-/// path would have; served packets arrive on the NF's private OBQ as usual
-/// and are counted under dhl.fallback.pkts.
+/// (DESIGN.md section 3.3).  The callback receives each run of
+/// consecutive tagged packets in one call -- the shape the vectorized CPU
+/// kernels want (multi-lane Aho-Corasick, pipelined AES-CTR; DESIGN.md
+/// section 3.5) -- and must leave every packet's payload bytes and
+/// accel_result exactly as the accelerator path would have; served packets
+/// arrive on the NF's private OBQ as usual and are counted under
+/// dhl.fallback.pkts.
 inline void DHL_register_fallback(runtime::DhlRuntime& rt, netio::NfId nf_id,
                                   const std::string& hf_name,
                                   runtime::FallbackFn fn) {
   rt.register_fallback(nf_id, hf_name, std::move(fn));
-}
-
-/// Batched register_fallback: the callback receives every packet of a
-/// failed same-NF batch run in one call -- the shape the vectorized CPU
-/// kernels want (multi-lane Aho-Corasick, pipelined AES-CTR; DESIGN.md
-/// section 3.5).  Per-packet contract is identical to DHL_register_fallback;
-/// when both forms are registered the batch form wins.
-inline void DHL_register_fallback_batch(runtime::DhlRuntime& rt,
-                                        netio::NfId nf_id,
-                                        const std::string& hf_name,
-                                        runtime::FallbackBatchFn fn) {
-  rt.register_fallback_batch(nf_id, hf_name, std::move(fn));
 }
 
 }  // namespace dhl

@@ -18,8 +18,9 @@
 //
 //   FallbackRouter -- the bottom rung of the degradation ladder: when every
 //                     replica of a hardware function is quarantined, packets
-//                     flow through a per-(nf, hf) software callback
-//                     registered via DHL_register_fallback, so the NF keeps
+//                     flow, one run per call, through a per-(nf, hf)
+//                     software callback registered via
+//                     DHL_register_fallback, so the NF keeps
 //                     forwarding (degraded, counted via dhl.fallback.pkts)
 //                     instead of dropping -- the paper's "NFs remain
 //                     flexible software" property under failure.
@@ -101,17 +102,12 @@ class FaultInjector final : public fpga::FaultHook {
 };
 
 /// Software-fallback implementation of one hardware function for one NF.
-/// Receives the tagged packet; must leave payload + accel_result exactly
-/// as the accelerator path would have (the parity tests enforce this).
-using FallbackFn = std::function<void(netio::Mbuf&)>;
-
-/// Batch form: receives every packet of one (nf, hf) run at once -- the
-/// shape the Packer's failed DMA batch already has -- so vectorized
-/// fallbacks (multi-lane Aho-Corasick, pipelined AES-CTR) see whole
-/// batches instead of one packet per call.  Same contract per packet as
-/// FallbackFn: leave payload + accel_result exactly as the accelerator
-/// path would have.
-using FallbackBatchFn = std::function<void(std::span<netio::Mbuf* const>)>;
+/// Receives one run of consecutive packets tagged for (nf, hf) -- the
+/// Packer hands every run over in one call, so vectorized fallbacks
+/// (multi-lane Aho-Corasick, pipelined AES-CTR) see the batch shape.  Must
+/// leave each packet's payload + accel_result exactly as the accelerator
+/// path would have (the parity tests enforce this).
+using FallbackFn = std::function<void(std::span<netio::Mbuf* const>)>;
 
 class FallbackRouter {
  public:
@@ -124,30 +120,17 @@ class FallbackRouter {
   void register_fallback(netio::NfId nf_id, const std::string& hf_name,
                          FallbackFn fn);
 
-  /// DHL_register_fallback_batch(): batched software path for
-  /// (nf, hf_name).  Preferred by process_batch when both forms exist.
-  void register_fallback_batch(netio::NfId nf_id, const std::string& hf_name,
-                               FallbackBatchFn fn);
-
-  bool has(netio::NfId nf_id, const std::string& hf_name) const;
-
-  /// Run the registered callback on `m` and deliver it to the NF's private
-  /// OBQ (with the usual OBQ-full drop accounting).  False when no
-  /// callback is registered -- the packet stays with the caller.
-  bool process(netio::NfId nf_id, const std::string& hf_name, netio::Mbuf* m);
-
-  /// Serve a whole same-NF run of packets: one FallbackBatchFn call if a
-  /// batch callback is registered (falling back to the per-packet callback
-  /// otherwise), then the usual per-packet OBQ delivery/accounting.  False
-  /// when neither form is registered -- the packets stay with the caller.
-  bool process_batch(netio::NfId nf_id, const std::string& hf_name,
-                     std::span<netio::Mbuf* const> pkts);
+  /// Serve one run of packets tagged for (nf, hf_name): one callback call,
+  /// then per-packet OBQ delivery with the usual OBQ-full drop accounting.
+  /// False when no callback is registered -- the packets stay with the
+  /// caller.
+  bool serve(netio::NfId nf_id, const std::string& hf_name,
+             std::span<netio::Mbuf* const> run);
 
  private:
   sim::Simulator& sim_;
   RuntimeMetrics& metrics_;
   std::map<std::pair<netio::NfId, std::string>, FallbackFn> fns_;
-  std::map<std::pair<netio::NfId, std::string>, FallbackBatchFn> batch_fns_;
 };
 
 }  // namespace dhl::runtime

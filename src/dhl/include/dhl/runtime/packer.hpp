@@ -10,6 +10,7 @@
 
 #include <array>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,7 +32,8 @@ class Packer {
  public:
   Packer(sim::Simulator& simulator, const RuntimeConfig& config,
          telemetry::Telemetry& telemetry, RuntimeMetrics& metrics,
-         HwFunctionTable& table, BatchPoolSet& pools);
+         HwFunctionTable& table, BatchPoolSet& pools,
+         FallbackRouter& fallback);
 
   Packer(const Packer&) = delete;
   Packer& operator=(const Packer&) = delete;
@@ -44,9 +46,6 @@ class Packer {
   /// Fault hook sampled at the fpga.device site when a flush picks a
   /// replica (null = perfect devices).  Owned by the facade.
   void set_fault_hook(fpga::FaultHook* hook) { fault_ = hook; }
-  /// Software-fallback registry consulted when no replica of a hardware
-  /// function is dispatchable.  Owned by the facade.
-  void set_fallback_router(FallbackRouter* router) { fallback_ = router; }
 
   /// The batch-size cap currently in effect for `socket` -- max_batch_bytes,
   /// or the adaptive EWMA-driven cap when adaptive batching is on.  Exposed
@@ -77,6 +76,24 @@ class Packer {
     return static_cast<OpenKey>((static_cast<OpenKey>(tenant) << 8) | acc);
   }
 
+  /// One decision to serve packets in software: its packets are
+  /// `SoftwareList::pkts` from the previous decision's `end` up to `end`.
+  /// Without a registered fallback it drops them at `site` with one flight
+  /// event carrying `batch_id`.
+  struct SoftwareDecision {
+    std::size_t end = 0;
+    const std::string* hf_name = nullptr;
+    LedgerDrop site = LedgerDrop::kSubmit;
+    std::uint64_t batch_id = 0;
+  };
+  /// Software-serve-or-drop decisions awaiting serve_software(), in
+  /// decision order.  Reused, so the hot loop never heap-allocates at
+  /// steady state.
+  struct SoftwareList {
+    std::vector<netio::Mbuf*> pkts;
+    std::vector<SoftwareDecision> decisions;
+  };
+
   struct SocketState {
     std::unique_ptr<netio::MbufRing> ibq;
     /// Dense (tenant, acc_id) -> open-batch slot array, mirroring the
@@ -90,6 +107,8 @@ class Packer {
     /// Reusable dequeue buffer -- sized once to ibq_burst so the hot loop
     /// never heap-allocates.
     std::vector<netio::Mbuf*> scratch;
+    /// Decisions of the current poll, served before it returns.
+    SoftwareList software;
     // Adaptive batching: EWMA of the IBQ arrival byte rate.
     double ewma_bytes_per_sec = 0;
     Picos last_tx_poll = 0;
@@ -121,10 +140,21 @@ class Packer {
   /// another dispatchable replica, else fall back / drop per packet.
   void submit_with_retry(fpga::FpgaDevice* dev, fpga::DmaBatchPtr batch,
                          std::uint32_t attempt);
-  /// Bottom of the ladder for a batch with no dispatchable replica: each
-  /// same-NF run goes through the registered software fallback, or is
-  /// dropped at the kSubmit site when none is registered.
-  void fallback_or_drop(fpga::DmaBatchPtr batch, const std::string& hf_name);
+  /// Bottom of the ladder for a batch with no dispatchable replica: retire
+  /// it and queue each same-NF run on `list` for the software fallback (a
+  /// kSubmit drop when none is registered).  `hf_name` must outlive the
+  /// serve_software() call that empties `list`.
+  void fallback_or_drop(fpga::DmaBatchPtr batch, const std::string& hf_name,
+                        SoftwareList& list);
+  /// Queue one decision's packets (all of one NF) on `list`.
+  static void to_software(SoftwareList& list, std::span<netio::Mbuf* const> run,
+                          const std::string& hf_name, LedgerDrop site,
+                          std::uint64_t batch_id);
+  /// Serve and empty `list` in decision order: each stretch of consecutive
+  /// same-(nf, hf) packets reaches the fallback in one call; without a
+  /// fallback, each decision drops at its site.  A served oversize record
+  /// is still a counted rejection (oversize_drops).
+  void serve_software(SoftwareList& list);
   /// New open batch for `acc_id`: pooled on the zero-copy path, heap
   /// allocated on the legacy path.
   fpga::DmaBatchPtr acquire_batch(int socket, netio::AccId acc_id);
@@ -137,7 +167,7 @@ class Packer {
   BatchPoolSet& pools_;
   DispatchPolicy* policy_ = nullptr;
   fpga::FaultHook* fault_ = nullptr;
-  FallbackRouter* fallback_ = nullptr;
+  FallbackRouter& fallback_;
   std::vector<SocketState> sockets_;
   /// Flush-time candidate list, reused across flushes (no hot-path alloc).
   std::vector<HwFunctionEntry*> candidates_;

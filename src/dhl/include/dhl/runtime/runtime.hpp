@@ -196,17 +196,14 @@ class DhlRuntime {
   void set_fault_injector(FaultInjector* injector);
 
   /// DHL_register_fallback(): software implementation of `hf_name` for
-  /// `nf_id`, used when every replica of the function is quarantined.  The
-  /// callback must leave payload and accel_result exactly as the
-  /// accelerator would have.
+  /// `nf_id`, used when no replica of the function can take a packet.  The
+  /// callback receives each run of consecutive packets tagged for
+  /// (nf_id, hf_name) in one call, so vectorized software paths
+  /// (multi-lane AC, pipelined AES-CTR) keep the batch shape; it must leave
+  /// each packet's payload and accel_result exactly as the accelerator
+  /// would have.
   void register_fallback(netio::NfId nf_id, const std::string& hf_name,
                          FallbackFn fn);
-  /// DHL_register_fallback_batch(): batched form -- the callback receives
-  /// every packet of a failed same-NF batch run at once, so vectorized
-  /// software paths (multi-lane AC, pipelined AES-CTR) keep their shape.
-  void register_fallback_batch(netio::NfId nf_id, const std::string& hf_name,
-                               FallbackBatchFn fn);
-  FallbackRouter& fallback_router() { return fallback_; }
 
   /// Packet-lifecycle conservation ledger (DESIGN.md section 3.4).  A
   /// no-op stub in DHL_LEDGER=0 builds; gated by RuntimeConfig::ledger

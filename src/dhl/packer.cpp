@@ -15,13 +15,15 @@ using netio::MbufRing;
 
 Packer::Packer(sim::Simulator& simulator, const RuntimeConfig& config,
                telemetry::Telemetry& telemetry, RuntimeMetrics& metrics,
-               HwFunctionTable& table, BatchPoolSet& pools)
+               HwFunctionTable& table, BatchPoolSet& pools,
+               FallbackRouter& fallback)
     : sim_{simulator},
       config_{config},
       telemetry_{telemetry},
       metrics_{metrics},
       table_{table},
       pools_{pools},
+      fallback_{fallback},
       sockets_(static_cast<std::size_t>(config.num_sockets)) {
   for (int s = 0; s < config_.num_sockets; ++s) {
     SocketState& state = sockets_[static_cast<std::size_t>(s)];
@@ -93,26 +95,59 @@ void Packer::drop_batch(fpga::DmaBatchPtr batch) {
 }
 
 void Packer::fallback_or_drop(fpga::DmaBatchPtr batch,
-                              const std::string& hf_name) {
+                              const std::string& hf_name, SoftwareList& list) {
   metrics_.tenants.retire_batch(*batch);
-  // Hand the fallback router whole same-NF runs (batches are usually
-  // single-NF, so normally one call) so batch-registered software paths --
-  // multi-lane Aho-Corasick, pipelined AES-CTR -- see the batch shape
-  // instead of one packet per call.
   const auto& pkts = batch->pkts();
   std::size_t i = 0;
   while (i < pkts.size()) {
     std::size_t j = i + 1;
     while (j < pkts.size() && pkts[j]->nf_id() == pkts[i]->nf_id()) ++j;
-    const std::span<Mbuf* const> run{pkts.data() + i, j - i};
-    metrics_.in_flight -= run.size();
-    if (fallback_ == nullptr ||
-        !fallback_->process_batch(pkts[i]->nf_id(), hf_name, run)) {
-      metrics_.drop_all(run, LedgerDrop::kSubmit, batch->batch_id);
-    }
+    metrics_.in_flight -= j - i;
+    to_software(list, {pkts.data() + i, j - i}, hf_name, LedgerDrop::kSubmit,
+                batch->batch_id);
     i = j;
   }
   pools_.recycle(std::move(batch));
+}
+
+void Packer::to_software(SoftwareList& list, std::span<Mbuf* const> run,
+                         const std::string& hf_name, LedgerDrop site,
+                         std::uint64_t batch_id) {
+  list.pkts.insert(list.pkts.end(), run.begin(), run.end());
+  list.decisions.push_back({list.pkts.size(), &hf_name, site, batch_id});
+}
+
+void Packer::serve_software(SoftwareList& list) {
+  const auto& decisions = list.decisions;
+  std::size_t d = 0;
+  std::size_t begin = 0;
+  while (d < decisions.size()) {
+    // Stretch of decisions whose packets share (nf, hf): one fallback call.
+    const netio::NfId nf = list.pkts[begin]->nf_id();
+    const std::string& hf_name = *decisions[d].hf_name;
+    std::size_t e = d + 1;
+    while (e < decisions.size() && *decisions[e].hf_name == hf_name &&
+           list.pkts[decisions[e - 1].end]->nf_id() == nf) {
+      ++e;
+    }
+    const std::size_t end = decisions[e - 1].end;
+    const bool served =
+        fallback_.serve(nf, hf_name, {list.pkts.data() + begin, end - begin});
+    for (; d < e; ++d) {
+      const SoftwareDecision& dec = decisions[d];
+      if (served) {
+        if (dec.site == LedgerDrop::kOversize) {
+          metrics_.oversize_drops->add(dec.end - begin);
+        }
+      } else {
+        metrics_.drop_all({list.pkts.data() + begin, dec.end - begin},
+                          dec.site, dec.batch_id);
+      }
+      begin = dec.end;
+    }
+  }
+  list.pkts.clear();
+  list.decisions.clear();
 }
 
 void Packer::submit_with_retry(fpga::FpgaDevice* dev, fpga::DmaBatchPtr batch,
@@ -149,13 +184,16 @@ void Packer::submit_with_retry(fpga::FpgaDevice* dev, fpga::DmaBatchPtr batch,
     // binding as stale rather than trust a half-matching entry.
     failed = nullptr;
   }
+  // Outside any poll: software decisions are served at once.
+  SoftwareList software;
   if (failed == nullptr) {
     metrics_.stale_acc_batches->add(1);
     if (!batch->hf_name.empty()) {
       // We still know which function the batch was packed for: give its
       // packets to that function's software fallback instead of dropping.
       const std::string hf = batch->hf_name;
-      fallback_or_drop(std::move(batch), hf);
+      fallback_or_drop(std::move(batch), hf, software);
+      serve_software(software);
     } else {
       // Hand-built batch with no stamp: nothing to blame, just release.
       drop_batch(std::move(batch));
@@ -186,7 +224,8 @@ void Packer::submit_with_retry(fpga::FpgaDevice* dev, fpga::DmaBatchPtr batch,
     submit_with_retry(alt->device, std::move(batch), 0);
     return;
   }
-  fallback_or_drop(std::move(batch), failed->hf_name);
+  fallback_or_drop(std::move(batch), failed->hf_name, software);
+  serve_software(software);
 }
 
 fpga::DmaBatchPtr Packer::acquire_batch(int socket, AccId acc_id) {
@@ -225,7 +264,8 @@ double Packer::flush_batch(int socket, AccId acc_id, OpenBatch&& open,
   }
   if (target == nullptr) {
     // Whole function quarantined: bottom of the degradation ladder.
-    fallback_or_drop(std::move(batch), primary->hf_name);
+    fallback_or_drop(std::move(batch), primary->hf_name,
+                     sockets_[static_cast<std::size_t>(socket)].software);
     return rt.packer_per_batch_cycles;
   }
   fpga::FpgaDevice* dev = target->device;
@@ -349,10 +389,8 @@ sim::PollResult Packer::poll(int socket) {
     if (e->health != ReplicaHealth::kHealthy &&
         !table_.any_dispatchable(e->hf_name)) {
       cycles += rt.packer_per_pkt_cycles;
-      if (fallback_ == nullptr ||
-          !fallback_->process(m->nf_id(), e->hf_name, m)) {
-        metrics_.drop(m, LedgerDrop::kSubmit);
-      }
+      to_software(state.software, {&pkts[i], 1}, e->hf_name,
+                  LedgerDrop::kSubmit, 0);
       continue;  // served in software or dropped; never entered a batch
     }
     const std::size_t record_bytes = fpga::kRecordHeaderBytes + m->data_len();
@@ -364,13 +402,8 @@ sim::PollResult Packer::poll(int socket) {
       // not the adaptive cap -- adaptive batching shrinks the target, not
       // the wire-format ceiling.
       cycles += rt.packer_per_pkt_cycles;
-      if (fallback_ != nullptr &&
-          fallback_->process(m->nf_id(), e->hf_name, m)) {
-        // Served in software, unbatched -- still a counted rejection.
-        metrics_.oversize_drops->add(1);
-      } else {
-        metrics_.drop(m, LedgerDrop::kOversize);
-      }
+      to_software(state.software, {&pkts[i], 1}, e->hf_name,
+                  LedgerDrop::kOversize, 0);
       continue;
     }
     const OpenKey key = open_key(tenant, acc_id);
@@ -450,6 +483,9 @@ sim::PollResult Packer::poll(int socket) {
       ++i;
     }
   }
+
+  // This poll's software decisions, as runs: same virtual time, same order.
+  if (!state.software.decisions.empty()) serve_software(state.software);
 
   // DMA doorbells ring once this iteration's packing cycles have elapsed --
   // submitting at iteration start would hide the Packer's cost from the

@@ -24,12 +24,12 @@ DhlRuntime::DhlRuntime(sim::Simulator& simulator, RuntimeConfig config,
       pools_{config_.num_sockets, config_.batch_pool_capacity,
              config_.timing.runtime.max_batch_bytes + fpga::kRecordHeaderBytes,
              *telemetry_},
-      packer_{simulator, config_, *telemetry_, metrics_, table_, pools_},
+      packer_{simulator, config_, *telemetry_, metrics_,
+              table_,    pools_,  fallback_},
       distributor_{simulator, config_, *telemetry_,
                    metrics_,  table_,  nfs_,        pools_} {
   DHL_CHECK(config_.num_sockets > 0);
   packer_.set_dispatch_policy(policy_.get());
-  packer_.set_fallback_router(&fallback_);
   ledger_.set_tenant_resolver(
       [this](NfId nf_id) { return tenants_.tenant_of(nf_id); },
       [this](std::uint8_t id) { return tenants_.tenant_name(id); });
@@ -227,14 +227,6 @@ void DhlRuntime::register_fallback(netio::NfId nf_id,
                                    FallbackFn fn) {
   DHL_CHECK_MSG(nf_id < nfs_.size(), "register_fallback: unregistered nf_id");
   fallback_.register_fallback(nf_id, hf_name, std::move(fn));
-}
-
-void DhlRuntime::register_fallback_batch(netio::NfId nf_id,
-                                         const std::string& hf_name,
-                                         FallbackBatchFn fn) {
-  DHL_CHECK_MSG(nf_id < nfs_.size(),
-                "register_fallback_batch: unregistered nf_id");
-  fallback_.register_fallback_batch(nf_id, hf_name, std::move(fn));
 }
 
 void DhlRuntime::set_dispatch_policy(std::unique_ptr<DispatchPolicy> policy) {

@@ -503,17 +503,9 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec) {
   // dhl.fallback.pkts) instead of blackholing it.
   if (nids) {
     auto soft = std::make_shared<accel::PatternMatchingModule>(automaton);
-    rt.register_fallback_batch(
-        nf->nf_id(), spec.hf, [soft](std::span<Mbuf* const> pkts) {
-          std::vector<std::span<std::uint8_t>> datas;
-          std::vector<std::uint64_t> results(pkts.size(), 0);
-          datas.reserve(pkts.size());
-          for (Mbuf* m : pkts) datas.emplace_back(m->data(), m->data_len());
-          soft->process_multi(datas, results);
-          for (std::size_t i = 0; i < pkts.size(); ++i) {
-            pkts[i]->set_accel_result(results[i]);
-          }
-        });
+    rt.register_fallback(
+        nf->nf_id(), spec.hf,
+        [soft](std::span<Mbuf* const> pkts) { soft->process_run(pkts); });
   }
 
   // Fault-soak overlay: windows are relative to traffic start.

@@ -114,7 +114,7 @@ TEST(AccountingFixes, OversizeRecordRoutedToFallback) {
   const AccHandle acc = h.rt->search_by_name("loopback", 0);
   h.wait_ready(acc);
   // Loopback leaves the payload untouched; an identity fallback matches.
-  h.rt->register_fallback(nf, "loopback", [](Mbuf&) {});
+  h.rt->register_fallback(nf, "loopback", [](std::span<Mbuf* const>) {});
   h.rt->start();
 
   auto& ibq = h.rt->get_shared_ibq(nf);
@@ -163,7 +163,7 @@ TEST(AccountingFixes, StaleBatchAfterUnloadRoutedToFallback) {
   const netio::NfId nf = h.rt->register_nf("nf0", 0);
   const AccHandle acc = h.rt->search_by_name("loopback", 0);
   h.wait_ready(acc);
-  h.rt->register_fallback(nf, "loopback", [](Mbuf&) {});
+  h.rt->register_fallback(nf, "loopback", [](std::span<Mbuf* const>) {});
   h.rt->set_fault_injector(&inj);
   h.rt->start();
 

@@ -162,7 +162,7 @@ TEST(DropSites, OversizeCounterIncludesFallbackServed) {
   Harness h;
   const netio::NfId nf = h.rt->register_nf("nf0", 0);
   h.ready();
-  h.rt->register_fallback(nf, "loopback", [](Mbuf&) {});
+  h.rt->register_fallback(nf, "loopback", [](std::span<Mbuf* const>) {});
 
   h.send(nf, nf, h.acc.acc_id, 3, 7000);
   h.run();
@@ -183,7 +183,7 @@ TEST(DropSites, FallbackServedBatchLogsNoDropEvent) {
   Harness h;
   const netio::NfId nf = h.rt->register_nf("nf0", 0);
   h.ready();
-  h.rt->register_fallback(nf, "loopback", [](Mbuf&) {});
+  h.rt->register_fallback(nf, "loopback", [](std::span<Mbuf* const>) {});
   FaultInjector inj{h.sim, h.rt->telemetry(), /*seed=*/5};
   h.rt->set_fault_injector(&inj);
   inj.add_rule({.site = FaultSite::kDevice,

@@ -3,6 +3,10 @@
 // per-(nf, hf) callback registered via DHL_register_fallback -- and the
 // results must be byte-identical to what the accelerator path produces.
 //
+// The run fallback's shape is checked too: a quarantined burst reaches the
+// callback as one run, and mixed oversize/quarantined records keep send
+// order.
+//
 // The parity check runs each workload twice: once against the (healthy)
 // accelerator, once with the device fault-injected into permanent
 // quarantine and the module's software implementation registered as the
@@ -103,11 +107,13 @@ std::map<std::uint8_t, std::uint64_t> run_workload(
                   .kind = FaultKind::kDeviceUnhealthy});
   }
   if (fallback != nullptr) {
-    DHL_register_fallback(*h.rt, nf, hf_name, [fallback](Mbuf& m) {
-      const fpga::ProcessResult r =
-          fallback->process({m.data(), m.data_len()});
-      m.set_accel_result(r.result);
-    });
+    DHL_register_fallback(
+        *h.rt, nf, hf_name, [fallback](std::span<Mbuf* const> run) {
+          for (Mbuf* m : run) {
+            m->set_accel_result(
+                fallback->process({m->data(), m->data_len()}).result);
+          }
+        });
   }
 
   std::map<std::uint8_t, std::uint64_t> results;
@@ -197,6 +203,124 @@ TEST(Fallback, NoCallbackMeansCountedDrops) {
                    kPkts, /*quarantine=*/true, nullptr, &fallback_pkts);
   EXPECT_TRUE(results.empty());
   EXPECT_EQ(fallback_pkts, 0u);
+}
+
+/// pattern-matching behind a permanent fpga.device fault: the first flush
+/// quarantines the only replica and every later dispatch re-fails it.  The
+/// module's software twin serves as the run fallback and records the size
+/// of every call.
+struct RunFallbackHarness {
+  std::shared_ptr<const match::AhoCorasick> automaton =
+      std::make_shared<const match::AhoCorasick>(
+          match::AhoCorasick::build(
+              std::vector<std::string>{"attack", "evil", "\x42\x49"}));
+  Harness h;
+  FaultInjector inj{h.sim, h.rt->telemetry(), /*seed=*/1234};
+  accel::PatternMatchingModule soft{automaton};
+  netio::NfId nf = 0;
+  AccHandle acc;
+  std::vector<std::size_t> call_sizes;
+  int next_index = 0;
+
+  explicit RunFallbackHarness(RuntimeConfig cfg = {})
+      : h{accel::standard_module_database(automaton), std::move(cfg)} {
+    nf = h.rt->register_nf("nf0", 0);
+    acc = h.rt->search_by_name("pattern-matching", 0);
+    h.sim.run_until(h.sim.now() + milliseconds(30));
+    EXPECT_TRUE(h.rt->acc_ready(acc));
+    h.rt->start();
+    h.rt->set_fault_injector(&inj);
+    inj.add_rule({.site = FaultSite::kDevice,
+                  .kind = FaultKind::kDeviceUnhealthy});
+    DHL_register_fallback(*h.rt, nf, "pattern-matching",
+                          [this](std::span<Mbuf* const> run) {
+                            call_sizes.push_back(run.size());
+                            soft.process_run(run);
+                          });
+  }
+
+  ~RunFallbackHarness() { h.rt->set_fault_injector(nullptr); }
+
+  /// One burst with the given payload lengths, then 100 us of virtual time
+  /// (past the batch timeout, inside the quarantine period).  Returns the
+  /// payloads' leading bytes in send order.
+  std::vector<std::uint8_t> send(const std::vector<std::uint32_t>& lens) {
+    std::vector<Mbuf*> pkts;
+    std::vector<std::uint8_t> leads;
+    for (const std::uint32_t len : lens) {
+      pkts.push_back(h.make_pkt(nf, acc.acc_id, payload_for(next_index, len)));
+      leads.push_back(pkts.back()->data()[0]);
+      ++next_index;
+    }
+    EXPECT_EQ(DhlRuntime::send_packets(h.rt->get_shared_ibq(nf), pkts.data(),
+                                       pkts.size()),
+              pkts.size());
+    h.sim.run_until(h.sim.now() + microseconds(100));
+    return leads;
+  }
+
+  /// Drains the OBQ in order, checking each packet's accel_result against a
+  /// one-packet process() call.  Returns the leading bytes.
+  std::vector<std::uint8_t> drain() {
+    accel::PatternMatchingModule ref{automaton};
+    std::vector<std::uint8_t> leads;
+    Mbuf* out[64];
+    std::size_t got;
+    while ((got = DhlRuntime::receive_packets(h.rt->get_private_obq(nf), out,
+                                              64)) > 0) {
+      for (std::size_t i = 0; i < got; ++i) {
+        EXPECT_EQ(out[i]->accel_result(),
+                  ref.process({out[i]->data(), out[i]->data_len()}).result);
+        leads.push_back(out[i]->data()[0]);
+        out[i]->release();
+      }
+    }
+    return leads;
+  }
+};
+
+// While the whole function stays quarantined, a burst reaches the run
+// fallback as one run -- the shape the multi-lane kernel needs -- not as
+// one call per packet.
+TEST(Fallback, QuarantinedBurstReachesFallbackInOneCall) {
+  RunFallbackHarness f;
+  f.send({80});  // its flush trips the fault: the replica is quarantined
+  ASSERT_EQ(f.h.rt->function_table().entry_for(f.acc.acc_id)->health,
+            ReplicaHealth::kQuarantined);
+  EXPECT_EQ(f.drain().size(), 1u);
+  f.call_sizes.clear();
+
+  const std::vector<std::uint8_t> sent =
+      f.send(std::vector<std::uint32_t>(32, 80));
+  EXPECT_EQ(f.call_sizes, std::vector<std::size_t>{32});
+  EXPECT_EQ(f.drain(), sent);
+  EXPECT_EQ(f.h.metric("dhl.fallback.pkts"), 33.0);
+  EXPECT_EQ(f.h.rt->in_flight(), 0u);
+}
+
+// Oversize records (over the 1 KB cap here) and records of a quarantined
+// function share one software path.  While the function is healthy the
+// oversize ones are served in the poll that rejects them and the rest when
+// their batch's flush trips the fault; once it is quarantined every record
+// takes the quarantine path.  Either way the OBQ keeps send order and each
+// result matches a one-packet call.
+TEST(Fallback, OversizeAndQuarantinedRecordsKeepSendOrder) {
+  RuntimeConfig cfg;
+  cfg.timing.runtime.max_batch_bytes = 1024;
+  RunFallbackHarness f{cfg};
+  constexpr std::uint32_t kSmall = 200;
+  constexpr std::uint32_t kBig = 1500;
+
+  const auto healthy = f.send({kBig, kBig, kSmall, kSmall, kSmall});
+  EXPECT_EQ(f.drain(), healthy);
+  const auto quarantined = f.send({kSmall, kBig, kSmall, kBig, kSmall});
+  EXPECT_EQ(f.drain(), quarantined);
+
+  EXPECT_EQ(f.call_sizes, (std::vector<std::size_t>{2, 3, 5}));
+  EXPECT_EQ(f.h.metric("dhl.fallback.pkts"), 10.0);
+  // Only the healthy burst's oversize records were batching rejections.
+  EXPECT_EQ(f.h.metric("dhl.runtime.oversize_drops"), 2.0);
+  EXPECT_EQ(f.h.rt->in_flight(), 0u);
 }
 
 }  // namespace

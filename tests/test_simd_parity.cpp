@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -22,6 +23,7 @@
 #include "dhl/crypto/aes.hpp"
 #include "dhl/fpga/device.hpp"
 #include "dhl/match/aho_corasick.hpp"
+#include "dhl/netio/mempool.hpp"
 #include "dhl/runtime/runtime.hpp"
 #include "dhl/sim/simulator.hpp"
 
@@ -414,7 +416,7 @@ TEST(SimdParity, Crc32cAllTiers) {
   }
 }
 
-// --- accelerator module: process vs process_multi ----------------------------
+// --- accelerator module: process vs process_run ------------------------------
 
 TEST(SimdParity, PatternModuleProcessMultiMatchesProcess) {
   CapGuard guard;
@@ -424,6 +426,7 @@ TEST(SimdParity, PatternModuleProcessMultiMatchesProcess) {
   auto automaton = std::make_shared<const match::AhoCorasick>(
       match::AhoCorasick::build(patterns, /*case_insensitive=*/true));
   accel::PatternMatchingModule mod{automaton};
+  netio::MbufPool pool{"simd-parity", 32, 2048, 0};
 
   // A mix of raw fuzz bytes and embedded pattern text at random offsets,
   // various lengths (the module parses packet headers when present and
@@ -449,14 +452,20 @@ TEST(SimdParity, PatternModuleProcessMultiMatchesProcess) {
       want.push_back(mod.process({copy.data(), copy.size()}).result);
       EXPECT_EQ(copy, p) << "process() must not rewrite payload bytes";
     }
-    // Batched: process_multi over all packets at once.
-    std::vector<std::vector<std::uint8_t>> copies = pkts;
-    std::vector<std::span<std::uint8_t>> datas;
-    for (auto& c : copies) datas.emplace_back(c.data(), c.size());
-    std::vector<std::uint64_t> got(pkts.size(), 0);
-    mod.process_multi(datas, got);
-    EXPECT_EQ(got, want) << simd::to_string(isa);
-    EXPECT_EQ(copies, pkts);
+    // Batched: process_run over all packets at once.
+    std::vector<netio::Mbuf*> run;
+    for (const auto& p : pkts) {
+      run.push_back(pool.alloc());
+      run.back()->assign(p);
+    }
+    mod.process_run(run);
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      EXPECT_EQ(run[i]->accel_result(), want[i]) << simd::to_string(isa);
+      const std::span<const std::uint8_t> bytes = run[i]->payload();
+      EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), pkts[i].begin(),
+                             pkts[i].end()));
+      run[i]->release();
+    }
   }
 }
 

@@ -175,7 +175,7 @@ TEST(StageSeams, SubmitTimeoutRedirectMatchesLedger) {
 TEST(StageSeams, QuarantineFallbackMatchesLedger) {
   if (!kLedgerCompiled) GTEST_SKIP() << "ledger compiled out";
   Harness h;
-  h.rt->register_fallback(h.nf, "loopback", [](Mbuf&) {});
+  h.rt->register_fallback(h.nf, "loopback", [](std::span<Mbuf* const>) {});
   h.inj->add_rule({.site = FaultSite::kDevice,
                    .kind = FaultKind::kDeviceUnhealthy,
                    .max_count = 1});

@@ -100,8 +100,9 @@ RunOutcome run_stress(std::uint64_t seed) {
   }
   // Loopback's software twin: payload untouched, result word 0.
   for (const netio::NfId nf : {nf0, nf1}) {
-    DHL_register_fallback(rt, nf, "loopback",
-                          [](Mbuf& m) { m.set_accel_result(0); });
+    DHL_register_fallback(rt, nf, "loopback", [](std::span<Mbuf* const> run) {
+      for (Mbuf* m : run) m->set_accel_result(0);
+    });
   }
 
   RunOutcome out;
