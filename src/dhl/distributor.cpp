@@ -95,10 +95,11 @@ void Distributor::enqueue_completion(int socket, fpga::DmaBatchPtr batch) {
     // has not refilled yet): never drop a completion, take the slow path.
     metrics_.completion_overflow->add(1);
     state.overflow.push_back(std::move(batch));
-    return;
+  } else {
+    state.ring[state.tail & ring_mask_] = std::move(batch);
+    ++state.tail;
   }
-  state.ring[state.tail & ring_mask_] = std::move(batch);
-  ++state.tail;
+  state.doorbell.ring();
 }
 
 std::unique_ptr<Distributor::DeliveryVec> Distributor::take_buffer(
@@ -135,8 +136,8 @@ sim::PollResult Distributor::poll(int socket) {
     }
   }
 
-  for (std::uint32_t b = 0; b < config_.rx_burst && state.ring_count() > 0;
-       ++b) {
+  std::uint32_t drained = 0;
+  for (; drained < config_.rx_burst && state.ring_count() > 0; ++drained) {
     fpga::DmaBatchPtr batch = std::move(state.ring[state.head & ring_mask_]);
     ++state.head;
     metrics_.batches_from_fpga->add(1);
@@ -264,6 +265,11 @@ sim::PollResult Distributor::poll(int socket) {
           sockets_[static_cast<std::size_t>(socket)].free_buffers.push_back(
               std::move(*shared));
         });
+  }
+  if (drained == 0) {
+    // Nothing drained: only enqueue_completion() brings work.
+    sim_.arm(state.doorbell);
+    return sim::PollResult::parked();
   }
   return {cycles, false};
 }

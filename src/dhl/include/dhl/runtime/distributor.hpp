@@ -80,6 +80,8 @@ class Distributor {
     std::uint64_t tail = 0;
     std::vector<fpga::DmaBatchPtr> overflow;
     std::size_t overflow_head = 0;
+    /// Rung by every completion push; wakes the parked RX core.
+    sim::Doorbell doorbell;
     /// Recycled delivery buffers: the deferred-enqueue closures hand their
     /// vector back here, so steady-state polling never heap-allocates.
     std::vector<std::unique_ptr<DeliveryVec>> free_buffers;

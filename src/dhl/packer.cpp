@@ -453,6 +453,12 @@ sim::PollResult Packer::poll(int socket) {
   // than 1500 B ones (V-C) -- and the timeout bounds latency at low load
   // (the adaptive version is the paper's future work, see the batching
   // ablation bench).
+  //
+  // An idle poll parks until the IBQ doorbell or the oldest open batch's
+  // timeout.  Any aged batch -- flushed, or deferred over quota and so
+  // retried on every poll -- keeps the core spinning.
+  Picos deadline = sim::kNoDeadline;
+  bool any_aged = false;
   for (std::size_t i = 0; i < state.active.size();) {
     const OpenKey key = state.active[i];
     const AccId acc_id = static_cast<AccId>(key & 0xff);
@@ -466,6 +472,7 @@ sim::PollResult Packer::poll(int socket) {
     const bool aged =
         have &&
         sim_.now() - open.batch->first_pkt_enqueued_at >= rt.batch_timeout;
+    any_aged |= aged;
     if (aged && !metrics_.tenants.can_flush(tenant)) {
       // Over the batch budget: defer, counted.  The batch stays open and
       // flushes on a later sweep once an in-flight batch retires.
@@ -480,6 +487,10 @@ sim::PollResult Packer::poll(int socket) {
       state.active[i] = state.active.back();
       state.active.pop_back();
     } else {
+      if (have) {
+        deadline = std::min(
+            deadline, open.batch->first_pkt_enqueued_at + rt.batch_timeout);
+      }
       ++i;
     }
   }
@@ -499,6 +510,11 @@ sim::PollResult Packer::poll(int socket) {
         submit_with_retry(dev, std::move(batch), 0);
       }
     });
+  }
+  if (n == 0 && !any_aged && !rt.adaptive_batching) {
+    // Adaptive batching updates its EWMA on every poll: never idle.
+    sim_.arm(state.ibq->doorbell());
+    return sim::PollResult::parked(deadline);
   }
   return {cycles, false};
 }

@@ -76,6 +76,8 @@ class NicPort {
 
   /// Poll up to `n` received frames.  DPDK rte_eth_rx_burst semantics.
   std::size_t rx_burst(Mbuf** out, std::size_t n);
+  /// Rung by every frame the RX queue accepts (wakes a parked poller).
+  sim::Doorbell& rx_doorbell() { return rx_queue_.doorbell(); }
 
   /// Transmit `n` frames.  Consumes (frees) the mbufs; records TX meter and
   /// latency.  Always accepts (TX is never the experiment bottleneck).

@@ -28,6 +28,10 @@
 // what fits in FIFO order, so the NIC, IBQ and OBQ accept and refuse the same
 // packets an rte_ring of that size would: virtual-time results do not depend
 // on the ring algorithm.
+//
+// Each ring carries a doorbell (sim/doorbell.hpp): a successful enqueue
+// rings it, which wakes a simulated consumer lcore parked on the ring.  A
+// ring shared between threads is never armed, so its doorbell stays silent.
 
 #include <algorithm>
 #include <atomic>
@@ -38,6 +42,7 @@
 #include <vector>
 
 #include "dhl/common/check.hpp"
+#include "dhl/sim/doorbell.hpp"
 
 namespace dhl::netio {
 
@@ -73,6 +78,9 @@ class Ring {
   bool empty() const { return count() == 0; }
   bool full() const { return count() >= capacity(); }
 
+  /// Rung by every enqueue that stores at least one element.
+  sim::Doorbell& doorbell() { return doorbell_; }
+
   /// Enqueue as many of `items` as fit.  Returns count enqueued.
   std::size_t enqueue_burst(std::span<const T> items) {
     std::uint64_t pos = prod_pos_.load(std::memory_order_relaxed);
@@ -107,6 +115,7 @@ class Ring {
       s.value = items[i];
       s.seq.store(pos + i + 1, std::memory_order_release);
     }
+    doorbell_.ring();
     return n;
   }
 
@@ -157,6 +166,7 @@ class Ring {
   std::uint32_t size_;
   std::uint64_t mask_;
   std::vector<Slot> slots_;
+  sim::Doorbell doorbell_;
 
   alignas(64) std::atomic<std::uint64_t> prod_pos_{0};
   alignas(64) std::atomic<std::uint64_t> cons_pos_{0};

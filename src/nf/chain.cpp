@@ -19,6 +19,7 @@ ChainNf::ChainNf(sim::Simulator& simulator, ChainConfig config,
   DHL_CHECK(!ports_.empty());
   DHL_CHECK(!stages_.empty());
   DHL_CHECK_MSG(stages_.size() < 0xffff, "too many stages");
+  burst_.resize(config_.io_burst);
 
   bool any_offload = false;
   for (const ChainStage& s : stages_) any_offload |= s.is_offload();
@@ -258,13 +259,15 @@ void ChainNf::deferred_io(double cycles, std::vector<Mbuf*> to_send,
 sim::PollResult ChainNf::ingress_poll() {
   const auto& cpu = config_.timing.cpu;
   double cycles = 0;
-  std::vector<Mbuf*> pkts(config_.io_burst);
+  std::vector<Mbuf*>& pkts = burst_;
   std::vector<Mbuf*> to_send;
   std::vector<Mbuf*> to_tx;
 
+  bool idle = true;
   for (netio::NicPort* port : ports_) {
     const std::size_t n = port->rx_burst(pkts.data(), pkts.size());
     if (n == 0) continue;
+    idle = false;
     stats_.rx_pkts += n;
     cycles += cpu.nic_rxtx_fixed_cycles +
               cpu.nic_rxtx_per_pkt_cycles * static_cast<double>(n);
@@ -277,6 +280,10 @@ sim::PollResult ChainNf::ingress_poll() {
     cycles += cpu.ring_op_fixed_cycles +
               cpu.ring_op_per_pkt_cycles * static_cast<double>(to_send.size());
   }
+  if (idle) {
+    for (netio::NicPort* port : ports_) sim_.arm(port->rx_doorbell());
+    return sim::PollResult::parked();
+  }
   deferred_io(cycles, std::move(to_send), std::move(to_tx));
   return {cycles, false};
 }
@@ -284,9 +291,12 @@ sim::PollResult ChainNf::ingress_poll() {
 sim::PollResult ChainNf::egress_poll() {
   const auto& cpu = config_.timing.cpu;
   double cycles = 0;
-  std::vector<Mbuf*> pkts(config_.io_burst);
+  std::vector<Mbuf*>& pkts = burst_;
   const std::size_t n = DHL_receive_packets(*obq_, pkts.data(), pkts.size());
-  if (n == 0) return {0, false};
+  if (n == 0) {
+    sim_.arm(obq_->doorbell());
+    return sim::PollResult::parked();
+  }
   cycles += cpu.ring_op_fixed_cycles +
             cpu.ring_op_per_pkt_cycles * static_cast<double>(n);
 

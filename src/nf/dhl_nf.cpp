@@ -19,6 +19,7 @@ DhlOffloadNf::DhlOffloadNf(sim::Simulator& simulator, DhlNfConfig config,
       post_{std::move(post)},
       post_cost_{std::move(post_cost)} {
   DHL_CHECK(!ports_.empty());
+  burst_.resize(config_.io_burst);
 
   // --- the Listing 2 sequence ---
   nf_id_ = DHL_register(runtime_, config_.name, config_.socket,
@@ -56,6 +57,7 @@ DhlOffloadNf::DhlOffloadNf(sim::Simulator& simulator, DhlNfConfig config,
       if (also_egress) {
         const sim::PollResult e = egress_poll();
         r.cycles += e.cycles;
+        r.park = r.park && e.park;
       }
       return r;
     });
@@ -88,17 +90,19 @@ netio::NicPort* DhlOffloadNf::port_by_id(std::uint16_t port_id) {
 sim::PollResult DhlOffloadNf::ingress_poll(std::size_t core_index) {
   const auto& cpu = config_.timing.cpu;
   double cycles = 0;
-  std::vector<Mbuf*> pkts(config_.io_burst);
+  std::vector<Mbuf*>& pkts = burst_;
 
   // Split mode: the single ingress core serves every port; per-port mode:
   // this core serves its own port.
   const std::size_t first = config_.split_ingress_egress ? 0 : core_index;
   const std::size_t count = config_.split_ingress_egress ? ports_.size() : 1;
 
+  bool idle = true;
   for (std::size_t p = first; p < first + count; ++p) {
     netio::NicPort* port = ports_[p];
     const std::size_t n = port->rx_burst(pkts.data(), pkts.size());
     if (n == 0) continue;
+    idle = false;
     stats_.rx_pkts += n;
     cycles += cpu.nic_rxtx_fixed_cycles +
               cpu.nic_rxtx_per_pkt_cycles * static_cast<double>(n);
@@ -145,15 +149,24 @@ sim::PollResult DhlOffloadNf::ingress_poll(std::size_t core_index) {
                           });
     }
   }
+  if (idle) {
+    for (std::size_t p = first; p < first + count; ++p) {
+      sim_.arm(ports_[p]->rx_doorbell());
+    }
+    return sim::PollResult::parked();
+  }
   return {cycles, false};
 }
 
 sim::PollResult DhlOffloadNf::egress_poll() {
   const auto& cpu = config_.timing.cpu;
   double cycles = 0;
-  std::vector<Mbuf*> pkts(config_.io_burst);
+  std::vector<Mbuf*>& pkts = burst_;
   const std::size_t n = DHL_receive_packets(*obq_, pkts.data(), pkts.size());
-  if (n == 0) return {0, false};
+  if (n == 0) {
+    sim_.arm(obq_->doorbell());
+    return sim::PollResult::parked();
+  }
   stats_.received += n;
   cycles += cpu.ring_op_fixed_cycles +
             cpu.ring_op_per_pkt_cycles * static_cast<double>(n);

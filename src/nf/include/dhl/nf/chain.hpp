@@ -177,6 +177,9 @@ class ChainNf {
   netio::MbufRing* obq_ = nullptr;
   std::unique_ptr<sim::Lcore> ingress_core_;
   std::unique_ptr<sim::Lcore> egress_core_;
+  /// Dequeue buffer (io_burst slots) reused by both polls, which never
+  /// nest, so an idle poll allocates nothing.
+  std::vector<netio::Mbuf*> burst_;
   ChainStats stats_;
 };
 

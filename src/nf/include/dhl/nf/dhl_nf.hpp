@@ -95,6 +95,9 @@ class DhlOffloadNf {
   netio::MbufRing* ibq_ = nullptr;
   netio::MbufRing* obq_ = nullptr;
   std::vector<std::unique_ptr<sim::Lcore>> cores_;
+  /// Dequeue buffer (io_burst slots) reused by both polls, which never
+  /// nest, so an idle poll allocates nothing.
+  std::vector<netio::Mbuf*> burst_;
   DhlNfStats stats_;
 };
 

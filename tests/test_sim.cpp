@@ -109,19 +109,30 @@ TEST(Lcore, StopHaltsIterations) {
 }
 
 TEST(Lcore, ParkAndWake) {
+  // A parked lcore idles on its 40 ns grid; wake() makes the next grid
+  // point run the real poll.
   Simulator sim;
   Lcore core{sim, "w0", Frequency::gigahertz(1.0), 0};
-  int iterations = 0;
+  core.set_idle_poll_cycles(40);
+  int work = 0;
+  std::vector<Picos> served;
   core.set_poll([&](Lcore&) -> PollResult {
-    ++iterations;
-    return {10, true};  // park after each iteration
+    if (work == 0) return PollResult::parked();
+    --work;
+    served.push_back(sim.now());
+    return {10, false};
   });
   core.start();
-  sim.run();
-  EXPECT_EQ(iterations, 1);
+  sim.run();  // first poll at 0 finds nothing and parks; nothing is awaited
+  EXPECT_TRUE(core.parked());
+  EXPECT_TRUE(served.empty());
+  sim.run_until(nanoseconds(100));  // grid ticks at 40 and 80 ns
+  EXPECT_EQ(core.idle_cycles(), 120.0);
+  work = 1;
   core.wake();
   sim.run();
-  EXPECT_EQ(iterations, 2);
+  EXPECT_EQ(served, (std::vector<Picos>{nanoseconds(120)}));
+  EXPECT_TRUE(core.parked());  // the poll after the busy one parked again
 }
 
 TEST(Lcore, RestartAfterStopDoesNotDoubleSchedule) {

@@ -2,9 +2,10 @@
 //
 // Topology: the PR-2 replicated setup -- two FPGAs on two NUMA sockets,
 // loopback replicated across both, one NF per socket.  Fault schedule:
-// probabilistic dma.submit timeouts (~5% of submit attempts) plus periodic
-// fpga.device flaps that quarantine alternating boards, with a software
-// fallback registered so fully-quarantined intervals keep forwarding.
+// probabilistic dma.submit timeouts (~5% of submit attempts), periodic
+// fpga.device flaps that quarantine alternating boards, and one window that
+// pulls both boards at once, so the function is fully quarantined and its
+// traffic takes the registered software fallback (the bottom rung).
 //
 // Invariants checked after several virtual milliseconds of sustained
 // traffic:
@@ -82,6 +83,9 @@ RunOutcome run_stress(std::uint64_t seed) {
   EXPECT_TRUE(rt.acc_ready(a));
   rt.start();
 
+  // Fault windows are absolute virtual times: anchor them at the start of
+  // traffic, after the PR loads above.
+  const Picos t0 = sim.now();
   FaultInjector inj{sim, rt.telemetry(), seed};
   rt.set_fault_injector(&inj);
   // ~5% of DMA submit attempts time out (retries/redirects absorb most).
@@ -93,9 +97,20 @@ RunOutcome run_stress(std::uint64_t seed) {
   for (int k = 0; k < 6; ++k) {
     inj.add_rule({.site = FaultSite::kDevice,
                   .kind = FaultKind::kDeviceUnhealthy,
-                  .active_from = milliseconds(1 + k),
-                  .active_until = milliseconds(1 + k) + microseconds(100),
+                  .active_from = t0 + milliseconds(1 + k),
+                  .active_until = t0 + milliseconds(1 + k) + microseconds(100),
                   .fpga_id = k % 2,
+                  .max_count = 1});
+  }
+  // One window takes out every replica at once: the first dispatch in it
+  // quarantines one board, the re-pick quarantines the other, and the
+  // function stays on the software rung for the quarantine period.
+  for (int board = 0; board < 2; ++board) {
+    inj.add_rule({.site = FaultSite::kDevice,
+                  .kind = FaultKind::kDeviceUnhealthy,
+                  .active_from = t0 + milliseconds(6) + microseconds(400),
+                  .active_until = t0 + milliseconds(6) + microseconds(500),
+                  .fpga_id = board,
                   .max_count = 1});
   }
   // Loopback's software twin: payload untouched, result word 0.
@@ -206,7 +221,9 @@ TEST(StressFaults, ConservationHoldsUnderMixedFaultSchedule) {
 
   // Conservation: injected == delivered + counted drops, exactly.
   EXPECT_EQ(out.sent, out.received + out.drops());
-  // Fallback-served packets are a subset of the delivered ones.
+  // The all-replicas window reached the software rung, and fallback-served
+  // packets are a subset of the delivered ones.
+  EXPECT_GT(out.fallback_pkts, 0u);
   EXPECT_LE(out.fallback_pkts, out.received);
   EXPECT_EQ(out.in_flight, 0u);
   EXPECT_EQ(out.pool_in_use, 0u);
@@ -217,6 +234,7 @@ TEST(StressFaults, FixedSeedIsBitReproducible) {
   const RunOutcome second = run_stress(/*seed=*/97);
   EXPECT_EQ(first, second);
   EXPECT_EQ(first.sent, first.received + first.drops());
+  EXPECT_GT(first.fallback_pkts, 0u);
 }
 
 }  // namespace
