@@ -1,7 +1,5 @@
 #include "dhl/runtime/distributor.hpp"
 
-#include <bit>
-
 #include "dhl/common/check.hpp"
 #include "dhl/common/log.hpp"
 
@@ -23,12 +21,9 @@ Distributor::Distributor(sim::Simulator& simulator,
       nfs_{nfs},
       pools_{pools},
       sockets_(static_cast<std::size_t>(config.num_sockets)) {
-  const std::size_t ring_size = std::bit_ceil(
-      std::max<std::size_t>(config_.completion_ring_size, 2));
-  ring_mask_ = ring_size - 1;
   for (int s = 0; s < config_.num_sockets; ++s) {
     SocketState& state = sockets_[static_cast<std::size_t>(s)];
-    state.ring.resize(ring_size);
+    state.ring.resize(kInitialCompletionSlots);
     state.completions_depth = telemetry_.metrics.gauge(
         "dhl.runtime.completions_depth",
         telemetry::Labels{{"socket", std::to_string(s)}});
@@ -89,27 +84,28 @@ void Distributor::enqueue_completion(int socket, fpga::DmaBatchPtr batch) {
     return;
   }
   SocketState& state = sockets_[static_cast<std::size_t>(socket)];
-  if (state.overflow_head < state.overflow.size() ||
-      state.ring_count() == state.ring.size()) {
-    // Ring full (or an earlier delivery already spilled and the poll loop
-    // has not refilled yet): never drop a completion, take the slow path.
-    metrics_.completion_overflow->add(1);
-    state.overflow.push_back(std::move(batch));
-  } else {
-    state.ring[state.tail & ring_mask_] = std::move(batch);
-    ++state.tail;
+  if (state.pending() == state.ring.size()) {
+    // Full: double the ring, pending batches first in arrival order.
+    std::vector<fpga::DmaBatchPtr> grown(state.ring.size() * 2);
+    for (std::size_t i = 0; i < state.ring.size(); ++i) {
+      grown[i] = std::move(state.slot(state.head + i));
+    }
+    state.ring = std::move(grown);
+    state.tail -= state.head;
+    state.head = 0;
   }
+  state.slot(state.tail++) = std::move(batch);
   state.doorbell.ring();
 }
 
-std::unique_ptr<Distributor::DeliveryVec> Distributor::take_buffer(
-    SocketState& state) {
+Distributor::DeliveryBuffer* Distributor::take_buffer(int socket) {
+  SocketState& state = sockets_[static_cast<std::size_t>(socket)];
   if (!state.free_buffers.empty()) {
-    auto buf = std::move(state.free_buffers.back());
+    DeliveryBuffer* buf = state.free_buffers.back();
     state.free_buffers.pop_back();
     return buf;
   }
-  return std::make_unique<DeliveryVec>();
+  return &state.buffers.emplace_back(DeliveryBuffer{{}, socket});
 }
 
 sim::PollResult Distributor::poll(int socket) {
@@ -119,27 +115,11 @@ sim::PollResult Distributor::poll(int socket) {
   const Picos t0 = sim_.now();
   const bool tracing = telemetry_.trace.enabled();
   double cycles = 0;
-  std::unique_ptr<DeliveryVec> deliveries;
-
-  // Refill the ring from the overflow slow path (FIFO preserved: spilled
-  // batches re-enter in arrival order, ahead of any new deliveries).
-  if (state.overflow_head < state.overflow.size()) {
-    while (state.overflow_head < state.overflow.size() &&
-           state.ring_count() < state.ring.size()) {
-      state.ring[state.tail & ring_mask_] =
-          std::move(state.overflow[state.overflow_head++]);
-      ++state.tail;
-    }
-    if (state.overflow_head == state.overflow.size()) {
-      state.overflow.clear();
-      state.overflow_head = 0;
-    }
-  }
+  DeliveryBuffer* deliveries = nullptr;
 
   std::uint32_t drained = 0;
-  for (; drained < config_.rx_burst && state.ring_count() > 0; ++drained) {
-    fpga::DmaBatchPtr batch = std::move(state.ring[state.head & ring_mask_]);
-    ++state.head;
+  for (; drained < config_.rx_burst && state.pending() > 0; ++drained) {
+    fpga::DmaBatchPtr batch = std::move(state.slot(state.head++));
     metrics_.batches_from_fpga->add(1);
     const double batch_start_cycles = cycles;
     cycles += rt.distributor_per_batch_cycles;
@@ -193,8 +173,7 @@ sim::PollResult Distributor::poll(int socket) {
       // already holds exactly these bytes, so the write-back memcpy is
       // skipped (the length check keeps a corrupted wire flag from ever
       // desynchronizing mbuf and record lengths).
-      if (config_.zero_copy &&
-          (v.header.flags & fpga::kRecordFlagDataUnmodified) != 0 &&
+      if ((v.header.flags & fpga::kRecordFlagDataUnmodified) != 0 &&
           v.header.data_len == m->data_len()) {
         metrics_.zero_copy_bytes->add(v.header.data_len);
       } else {
@@ -210,8 +189,8 @@ sim::PollResult Distributor::poll(int socket) {
         metrics_.drop(m, LedgerDrop::kObq);
         continue;
       }
-      if (deliveries == nullptr) deliveries = take_buffer(state);
-      deliveries->push_back({nf, m});
+      if (deliveries == nullptr) deliveries = take_buffer(socket);
+      deliveries->items.push_back({nf, m});
     }
     DHL_CHECK_MSG(records == pkts.size(),
                   "batch record/mbuf count mismatch");
@@ -245,26 +224,22 @@ sim::PollResult Distributor::poll(int socket) {
 
   // Packets land in their private OBQs after the Distributor cycles spent
   // on them (same reasoning as the Packer's deferred doorbell).
-  if (deliveries != nullptr && !deliveries->empty()) {
-    // The unique_ptr rides a shared_ptr shim so the move-only buffer fits
-    // the std::function event; the *same* heap vector goes back on the
-    // free list afterwards.  (The previous code allocated a brand-new
-    // DeliveryVec per event here, so take_buffer() never actually hit its
-    // pool -- one heap allocation per poll with traffic, forever.)
-    auto shared =
-        std::make_shared<std::unique_ptr<DeliveryVec>>(std::move(deliveries));
-    sim_.schedule_after(
-        clock.cycles(cycles), [this, socket, shared] {
-          // Untimed event context: per-packet ibq-wait and end-to-end
-          // records cost no modeled cycles and stay out of the benches'
-          // timed poll sections.
-          const Picos now = sim_.now();
-          for (const Delivery& d : **shared) metrics_.deliver(d.nf, d.m, now);
-          // Recycle the buffer for a later iteration on this socket.
-          (*shared)->clear();
-          sockets_[static_cast<std::size_t>(socket)].free_buffers.push_back(
-              std::move(*shared));
-        });
+  if (deliveries != nullptr) {
+    // The event captures the socket-owned buffer by pointer and hands it
+    // back to the free list afterwards, so the same heap vector serves
+    // every later poll on this socket.
+    sim_.schedule_after(clock.cycles(cycles), [this, deliveries] {
+      // Untimed event context: per-packet ibq-wait and end-to-end records
+      // cost no modeled cycles and stay out of the benches' timed poll
+      // sections.
+      const Picos now = sim_.now();
+      for (const Delivery& d : deliveries->items) {
+        metrics_.deliver(d.nf, d.m, now);
+      }
+      deliveries->items.clear();
+      sockets_[static_cast<std::size_t>(deliveries->socket)]
+          .free_buffers.push_back(deliveries);
+    });
   }
   if (drained == 0) {
     // Nothing drained: only enqueue_completion() brings work.

@@ -29,6 +29,10 @@
 
 namespace dhl::runtime {
 
+/// The runtime's per-socket free-list capacity.  Batches in flight beyond
+/// it fall back to the allocator (counted as dhl.pool.misses).
+inline constexpr std::uint32_t kBatchPoolCapacity = 64;
+
 class BatchPool {
  public:
   /// `reserve_bytes` is the buffer capacity given to every pool-owned

@@ -8,7 +8,7 @@
 // wire-format nf_id -- never host-side state, so a corrupted tag is caught
 // by the isolation machinery instead of leaking across NFs.
 
-#include <memory>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -24,6 +24,10 @@ namespace dhl::runtime {
 
 class Distributor {
  public:
+  /// Initial per-socket completion-ring slots (a power of two); the ring
+  /// doubles whenever a delivery finds it full.
+  static constexpr std::size_t kInitialCompletionSlots = 1024;
+
   Distributor(sim::Simulator& simulator, const RuntimeConfig& config,
               telemetry::Telemetry& telemetry, RuntimeMetrics& metrics,
               HwFunctionTable& table, std::vector<NfInfo>& nfs,
@@ -51,12 +55,8 @@ class Distributor {
   /// on `socket`'s free list.  Pins the recycling behaviour -- steady-state
   /// polling must hand the *same* heap vector back, not allocate per event.
   std::vector<const void*> delivery_buffer_ids(int socket) const {
-    std::vector<const void*> out;
-    for (const auto& b :
-         sockets_[static_cast<std::size_t>(socket)].free_buffers) {
-      out.push_back(b.get());
-    }
-    return out;
+    const auto& free = sockets_[static_cast<std::size_t>(socket)].free_buffers;
+    return {free.begin(), free.end()};
   }
 
  private:
@@ -66,37 +66,41 @@ class Distributor {
     std::size_t nf;
     netio::Mbuf* m;
   };
-  using DeliveryVec = std::vector<Delivery>;
+  /// A pooled delivery buffer.  It names the socket whose free list it
+  /// returns to, so the delivery event captures two pointers and fits the
+  /// std::function small-object buffer instead of heap-allocating.
+  struct DeliveryBuffer {
+    std::vector<Delivery> items;
+    int socket = 0;
+  };
 
   struct SocketState {
-    /// Fixed-capacity completion ring (power-of-two slots, monotonic
-    /// head/tail indices masked on access): the DMA delivery hook and the
-    /// RX poll loop touch preallocated slots only -- the former std::deque
-    /// chunk churn is gone.  `overflow` is the never-drop slow path: once a
-    /// delivery spills there, later deliveries follow it (FIFO preserved)
-    /// until the poll loop refills the ring from it.
+    /// Growable completion ring (power-of-two slots, monotonic head/tail
+    /// indices masked on access): the DMA delivery hook and the RX poll
+    /// loop touch preallocated slots only.  A delivery that finds the ring
+    /// full doubles it in FIFO order, so a completion is never dropped.
     std::vector<fpga::DmaBatchPtr> ring;
     std::uint64_t head = 0;
     std::uint64_t tail = 0;
-    std::vector<fpga::DmaBatchPtr> overflow;
-    std::size_t overflow_head = 0;
     /// Rung by every completion push; wakes the parked RX core.
     sim::Doorbell doorbell;
-    /// Recycled delivery buffers: the deferred-enqueue closures hand their
-    /// vector back here, so steady-state polling never heap-allocates.
-    std::vector<std::unique_ptr<DeliveryVec>> free_buffers;
+    /// Every delivery buffer this socket has made (a deque, so addresses
+    /// stay put), and the idle ones: the deferred-enqueue event hands its
+    /// buffer back here, so steady-state polling never heap-allocates.
+    std::deque<DeliveryBuffer> buffers;
+    std::vector<DeliveryBuffer*> free_buffers;
     telemetry::Gauge* completions_depth = nullptr;
     std::string rx_track;
 
-    std::size_t ring_count() const {
+    std::size_t pending() const {
       return static_cast<std::size_t>(tail - head);
     }
-    std::size_t pending() const {
-      return ring_count() + (overflow.size() - overflow_head);
+    fpga::DmaBatchPtr& slot(std::uint64_t i) {
+      return ring[i & (ring.size() - 1)];
     }
   };
 
-  std::unique_ptr<DeliveryVec> take_buffer(SocketState& state);
+  DeliveryBuffer* take_buffer(int socket);
 
   /// Integrity gate: true when the batch's wire bytes are trustworthy --
   /// not flagged corrupt in flight, checksum matches (when crc_check is
@@ -115,8 +119,6 @@ class Distributor {
   std::vector<NfInfo>& nfs_;
   BatchPoolSet& pools_;
   std::vector<SocketState> sockets_;
-  /// ring.size() - 1; rings are num_sockets copies of the same size.
-  std::uint64_t ring_mask_ = 0;
 };
 
 }  // namespace dhl::runtime

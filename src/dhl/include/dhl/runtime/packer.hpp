@@ -155,8 +155,8 @@ class Packer {
   /// fallback, each decision drops at its site.  A served oversize record
   /// is still a counted rejection (oversize_drops).
   void serve_software(SoftwareList& list);
-  /// New open batch for `acc_id`: pooled on the zero-copy path, heap
-  /// allocated on the legacy path.
+  /// New open batch for `acc_id` from `socket`'s BatchPool, stamped with
+  /// its creation time.
   fpga::DmaBatchPtr acquire_batch(int socket, netio::AccId acc_id);
 
   sim::Simulator& sim_;

@@ -21,7 +21,7 @@ DhlRuntime::DhlRuntime(sim::Simulator& simulator, RuntimeConfig config,
       tenants_{&telemetry_->metrics},
       metrics_{simulator, *telemetry_, ledger_, tenants_, nfs_},
       fallback_{simulator, metrics_},
-      pools_{config_.num_sockets, config_.batch_pool_capacity,
+      pools_{config_.num_sockets, kBatchPoolCapacity,
              config_.timing.runtime.max_batch_bytes + fpga::kRecordHeaderBytes,
              *telemetry_},
       packer_{simulator, config_, *telemetry_, metrics_,

@@ -89,8 +89,10 @@ class DmaBatch {
   std::vector<std::uint8_t>& buffer() { return buffer_; }
   const std::vector<std::uint8_t>& buffer() const { return buffer_; }
 
-  /// Append one record; copies `data` into the batch buffer immediately
-  /// (legacy copy path; also used by tests that build raw batches).
+  /// Append one record; copies `data` into the batch buffer immediately.
+  /// The runtime appends with `append_sg`; this copy form builds raw
+  /// batches by hand (tests, the Fig. 4 and Table VI benches) and is the
+  /// reference `linearize()` must reproduce.
   void append(netio::NfId nf_id, std::span<const std::uint8_t> data,
               netio::Mbuf* origin);
 

@@ -1,7 +1,8 @@
 // Regression tests for the hot-path accounting sweep (ISSUE 5 satellites):
 // oversized-record rejection, acc_id generation safety across slot
 // recycling, first_pkt_enqueued_at as the batch lifecycle anchor, the
-// Distributor's delivery-buffer recycling, and the adaptive batch cap.
+// Distributor's delivery-buffer recycling and completion-ring growth, and
+// the adaptive batch cap.
 
 #include <gtest/gtest.h>
 
@@ -313,6 +314,59 @@ TEST(AccountingFixes, DeliveryBufferRecycledAcrossPolls) {
   const auto ids2 = h.rt->distributor().delivery_buffer_ids(0);
   // Same heap vector, parked and reused -- not a fresh allocation per event.
   EXPECT_EQ(ids1, ids2);
+  h.expect_clean_audit();
+}
+
+// --- Distributor completion-ring growth ----------------------------------
+
+// More completions land on one socket than the ring has initial slots
+// before its RX core polls once: the ring must grow instead of dropping,
+// and drain every batch in arrival order.
+TEST(AccountingFixes, CompletionRingGrowsPastInitialSlotsInFifoOrder) {
+  RuntimeConfig cfg;
+  cfg.num_sockets = 1;
+  Harness h{cfg};
+  const netio::NfId nf = h.rt->register_nf("nf0", 0);
+  const AccHandle acc = h.rt->search_by_name("loopback", 0);
+  h.wait_ready(acc);
+
+  // 4000 B packets: two records never fit one 6 KB batch, so each packet
+  // is its own batch and its own completion.  The lcores stay stopped: the
+  // test drives the Packer by hand and polls the Distributor only once a
+  // whole wave of completions is queued.
+  auto& ibq = h.rt->get_shared_ibq(nf);
+  auto& obq = h.rt->get_private_obq(nf);
+  Distributor& dist = h.rt->distributor();
+  // Queue `n` single-packet completions, drain them all, and check that
+  // they reached the OBQ complete and in send order.
+  auto round_trip = [&](std::size_t n) {
+    std::vector<Mbuf*> sent;
+    for (std::size_t i = 0; i < n; ++i) {
+      Mbuf* m =
+          h.make_pkt(nf, acc.acc_id, 4000, static_cast<std::uint8_t>(i));
+      ASSERT_EQ(DhlRuntime::send_packets(ibq, &m, 1), 1u);
+      sent.push_back(m);
+    }
+    const Picos deadline = h.sim.now() + milliseconds(50);
+    while (dist.completions_pending(0) < n && h.sim.now() < deadline) {
+      h.rt->packer().poll(0);
+      h.sim.run_until(h.sim.now() + microseconds(100));  // > batch_timeout
+    }
+    ASSERT_EQ(dist.completions_pending(0), n);
+    while (dist.completions_pending(0) > 0) {
+      dist.poll(0);
+      h.sim.run_until(h.sim.now() + microseconds(10));
+    }
+    std::vector<Mbuf*> got(n + 1, nullptr);
+    got.resize(DhlRuntime::receive_packets(obq, got.data(), got.size()));
+    EXPECT_EQ(got, sent);  // nothing dropped, FIFO end to end
+    for (Mbuf* m : got) m->release();
+  };
+  // A few completions first, so the ring's head is off slot 0 when the
+  // big wave makes it grow.
+  round_trip(5);
+  round_trip(Distributor::kInitialCompletionSlots + 100);
+  EXPECT_EQ(h.rt->in_flight(), 0u);
   h.expect_clean_audit();
 }
 

@@ -1,12 +1,13 @@
 // Zero-copy batch path: SG append through the runtime, the Distributor's
-// unmodified-flag write-back skip, pooled batch recycling, and the legacy
-// copy path staying byte-equivalent.
+// unmodified-flag write-back skip, pooled batch recycling, and round-trip
+// results equal to what each module computes on the bytes directly.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 
 #include "dhl/accel/catalog.hpp"
+#include "dhl/accel/extra_modules.hpp"
 #include "dhl/accel/pattern_matching.hpp"
 #include "dhl/match/aho_corasick.hpp"
 #include "dhl/netio/mempool.hpp"
@@ -104,7 +105,7 @@ std::vector<Mbuf*> round_trip(Harness& h, const std::string& hf_name,
 }
 
 TEST(ZeroCopy, UnmodifiedFlagSkipsWriteBackButKeepsResult) {
-  Harness h;  // zero_copy defaults on
+  Harness h;
   const auto payload = text_payload("launch the attack now", 256);
   std::vector<Mbuf*> pkts;
   for (int i = 0; i < 32; ++i) pkts.push_back(h.make_pkt(0, 0, payload));
@@ -148,34 +149,77 @@ TEST(ZeroCopy, MutatingModuleStillPaysTheCopy) {
   EXPECT_GE(h.counter("dhl.copy_bytes"), 8u);
 }
 
-TEST(ZeroCopy, LegacyModeMatchesZeroCopyResults) {
-  RuntimeConfig legacy_cfg;
-  legacy_cfg.zero_copy = false;
-  Harness legacy{legacy_cfg};
-  Harness zc;
-
-  const auto payload = text_payload("buffer overflow attack", 200);
-  std::vector<Mbuf*> lp, zp;
+// Reference for every round trip: the module's own process() on a copy of
+// the payload.  A result-only module must return its result word with the
+// payload untouched.
+TEST(ZeroCopy, PatternResultsMatchModuleProcess) {
+  Harness h;
+  const std::vector<std::string> texts{"buffer overflow attack", "attack",
+                                       "nothing to see here", "overflow"};
+  std::vector<std::vector<std::uint8_t>> payloads;
+  std::vector<Mbuf*> pkts;
   for (int i = 0; i < 16; ++i) {
-    lp.push_back(legacy.make_pkt(0, 0, payload));
-    zp.push_back(zc.make_pkt(0, 0, payload));
+    payloads.push_back(text_payload(texts[i % texts.size()], 64 + 24 * i));
+    pkts.push_back(h.make_pkt(0, 0, payloads.back()));
   }
-  const auto lout = round_trip(legacy, "pattern-matching", lp);
-  const auto zout = round_trip(zc, "pattern-matching", zp);
-  ASSERT_EQ(lout.size(), zout.size());
-  for (std::size_t i = 0; i < lout.size(); ++i) {
-    EXPECT_EQ(lout[i]->accel_result(), zout[i]->accel_result());
-    ASSERT_EQ(lout[i]->data_len(), zout[i]->data_len());
-    EXPECT_EQ(std::memcmp(lout[i]->payload().data(),
-                          zout[i]->payload().data(), lout[i]->data_len()),
-              0);
-    lout[i]->release();
-    zout[i]->release();
+  const auto out = round_trip(h, "pattern-matching", pkts);
+  ASSERT_EQ(out.size(), pkts.size());
+
+  accel::PatternMatchingModule ref{test_automaton()};
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    ASSERT_EQ(out[i], pkts[i]);  // OBQ order is IBQ order
+    std::vector<std::uint8_t> copy = payloads[i];
+    EXPECT_EQ(out[i]->accel_result(), ref.process(copy).result) << i;
+    ASSERT_EQ(out[i]->data_len(), payloads[i].size());
+    EXPECT_EQ(std::memcmp(out[i]->payload().data(), payloads[i].data(),
+                          payloads[i].size()),
+              0)
+        << i;
+    out[i]->release();
   }
-  // Legacy path copies on both TX and RX; zero-copy path never does.
-  EXPECT_GT(legacy.counter("dhl.copy_bytes"), 0u);
-  EXPECT_EQ(legacy.counter("dhl.zero_copy_bytes"), 0u);
-  EXPECT_EQ(zc.counter("dhl.copy_bytes"), 0u);
+  EXPECT_EQ(h.rt->in_flight(), 0u);
+}
+
+// A mutating module's bytes come back through the RX write-back: they and
+// the result word must equal process() on a copy, for records that shrink
+// and for records the module leaves as they are.
+TEST(ZeroCopy, CompressionBytesMatchModuleProcess) {
+  Harness h;
+  std::vector<std::vector<std::uint8_t>> payloads;
+  std::vector<Mbuf*> pkts;
+  for (int i = 0; i < 12; ++i) {
+    std::vector<std::uint8_t> data(256 + 64 * i);
+    for (std::size_t b = 0; b < data.size(); ++b) {
+      // Even packets repeat a short motif (compressible); odd ones are a
+      // byte hash with few repeats for LZ77 to use.
+      data[b] = i % 2 == 0 ? static_cast<std::uint8_t>("abcabd"[b % 6])
+                           : static_cast<std::uint8_t>((b * 131 + i * 7) ^
+                                                       (b >> 3) * 29);
+    }
+    payloads.push_back(data);
+    pkts.push_back(h.make_pkt(0, 0, data));
+  }
+  const auto out = round_trip(h, "compression", pkts);
+  ASSERT_EQ(out.size(), pkts.size());
+
+  accel::CompressionModule ref;
+  std::size_t shrunk = 0;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    ASSERT_EQ(out[i], pkts[i]);
+    std::vector<std::uint8_t> copy = payloads[i];
+    const fpga::ProcessResult want = ref.process(copy);
+    if (want.new_len < payloads[i].size()) ++shrunk;
+    EXPECT_EQ(out[i]->accel_result(), want.result) << i;
+    ASSERT_EQ(out[i]->data_len(), want.new_len) << i;
+    EXPECT_EQ(std::memcmp(out[i]->payload().data(), copy.data(), want.new_len),
+              0)
+        << i;
+    out[i]->release();
+  }
+  // Both kinds of record were exercised.
+  EXPECT_GT(shrunk, 0u);
+  EXPECT_LT(shrunk, out.size());
+  EXPECT_EQ(h.rt->in_flight(), 0u);
 }
 
 TEST(ZeroCopy, PoolReachesSteadyStateHits) {
