@@ -15,7 +15,6 @@
 #include <fstream>
 #include <functional>
 #include <iomanip>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -329,9 +328,6 @@ inline std::string micro_out_arg(int argc, char** argv) {
 }
 
 struct TransferMicroOptions {
-  /// Distributor-side CRC32C integrity gate (RuntimeConfig::crc_check).
-  /// Off only for the `--crc-ab` overhead measurement.
-  bool crc_check = true;
   /// 240 B of payload makes a 256 B wire record (16 B header), so 24
   /// records fill the 6 KB batch budget exactly: each burst below packs
   /// into two full batches with no ragged tail.
@@ -375,7 +371,6 @@ class TransferMicroBench {
     runtime::RuntimeConfig cfg;
     cfg.telemetry = tel_;
     cfg.num_sockets = 1;
-    cfg.crc_check = opt.crc_check;
     cfg.ibq_burst = opt.burst;
     const std::vector<std::string> patterns{"attack", "overflow"};
     auto automaton = std::make_shared<const match::AhoCorasick>(
@@ -559,31 +554,70 @@ inline TransferMicroResult run_transfer_micro(const TransferMicroOptions& opt) {
   return r;
 }
 
-/// Result of the interleaved introspection-on/off overhead measurement.
-/// `overhead_percent` is the CI-gated number (< 2%).
-struct IntrospectionAb {
-  double baseline_ns_per_pkt = 0;  ///< best block ns/pkt, introspection off
-  double delta_ns_per_pkt = 0;     ///< best-on minus best-off
-  double overhead_percent = 0;
-  int pairs = 0;  ///< interleaved block pairs measured
+// --- host A/B: interleaved paired ratios -----------------------------------
+//
+// Every host-clock A/B of bench_micro -- introspection on/off, each vector
+// kernel scalar/native, the quarantine fallback path scalar/native -- uses
+// paired_ab.  The two blocks of a pair run back to back, so slow drift
+// (co-tenant load, frequency scaling, thermal) scales both alike and their
+// ratio cancels it; an interference burst that hits one block only gives an
+// outlier ratio that the median discards.  Measuring one arm to completion
+// before the other hands any drift to a single arm.
+
+/// Result of paired_ab.  Ratios are arm 0's cost over arm 1's.
+struct PairedAb {
+  double cost[2] = {0, 0};  ///< median block cost of arm 0 and of arm 1
+  double ratio = 0;         ///< median of the per-pair ratios
+  double ratio_q1 = 0;      ///< first quartile of the per-pair ratios
+  double ratio_q3 = 0;      ///< third quartile of the per-pair ratios
+  int pairs = 0;
 };
 
-/// Measure the hot-path cost of the introspection layer on ONE live
-/// pipeline, toggling the layer's enable flags (the stage recorder and the
-/// flight recorder) between short alternating blocks and comparing
-/// the MINIMUM block ns/pkt of each side.
+/// The `q`-quantile of `v`, interpolating between order statistics.
+inline double quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
+/// Run `pairs` pairs of one block per arm.  `block(arm)` sets arm 0 or 1 up
+/// and returns the cost of one timed block.  The arm that goes first
+/// alternates from pair to pair, so neither arm always runs second.
+inline PairedAb paired_ab(int pairs, const std::function<double(int)>& block) {
+  std::vector<double> costs[2];
+  std::vector<double> ratios;
+  for (int p = 0; p < pairs; ++p) {
+    double cost[2];
+    const int first = p % 2;
+    cost[first] = block(first);
+    cost[1 - first] = block(1 - first);
+    costs[0].push_back(cost[0]);
+    costs[1].push_back(cost[1]);
+    ratios.push_back(cost[0] / cost[1]);
+  }
+  PairedAb ab;
+  ab.pairs = pairs;
+  ab.cost[0] = quantile(costs[0], 0.5);
+  ab.cost[1] = quantile(costs[1], 0.5);
+  ab.ratio = quantile(ratios, 0.5);
+  ab.ratio_q1 = quantile(ratios, 0.25);
+  ab.ratio_q3 = quantile(ratios, 0.75);
+  return ab;
+}
+
+/// Hot-path cost of the introspection layer, in ns/pkt of the transfer
+/// micro-bench: arm 0 runs with the stage recorder and the flight recorder
+/// on, arm 1 with both off.  CI gates `100 * (ratio - 1)` < 2%.
 ///
-/// Why this design: two separate pipeline instances land at different heap
-/// addresses, and the resulting cache/TLB conflict differences are a
-/// *systematic* per-instance bias of several ns/pkt -- an A/A test between
-/// two identical instances showed +-4 ns/pkt, swamping a sub-ns true cost.
-/// One instance kills the layout bias by construction.  Preemption and
-/// co-tenant interference are additive and arrive in multi-millisecond
-/// slices, so the per-side minimum over many small blocks converges on the
-/// true floor where whole-run medians keep the noise.
-inline IntrospectionAb run_introspection_ab(int blocks = 128,
-                                            int rounds_per_block = 16,
-                                            int attempts = 3) {
+/// Both arms toggle the layer's flags on ONE live pipeline.  Two separate
+/// pipeline instances land at different heap addresses, and the resulting
+/// cache/TLB conflicts are a systematic per-instance bias of several ns/pkt
+/// -- an A/A test between two identical instances showed +-4 ns/pkt,
+/// swamping a sub-ns true cost.  One instance has no such bias.
+inline PairedAb run_introspection_ab(int pairs = 128,
+                                     int rounds_per_block = 16) {
   TransferMicroOptions opt;
   TransferMicroBench bench{opt};
   auto& tel = bench.telemetry();
@@ -591,99 +625,19 @@ inline IntrospectionAb run_introspection_ab(int blocks = 128,
 
   const double pkts_per_block =
       static_cast<double>(rounds_per_block) * opt.burst;
-  // Median of the per-pair deltas: the two blocks of a pair run within a
-  // couple of milliseconds of each other, so their delta cancels slow drift
-  // (thermal, frequency scaling); an interference burst that straddles only
-  // one side produces an outlier delta of either sign that the median
-  // discards.
-  auto median = [](std::vector<double> v) {
-    std::nth_element(v.begin(),
-                     v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2),
-                     v.end());
-    return v[v.size() / 2];
-  };
-  IntrospectionAb ab;
-  ab.pairs = blocks;
-  ab.delta_ns_per_pkt = std::numeric_limits<double>::infinity();
-  // A burst sustained across most of one attempt (co-tenant load) shifts
-  // that attempt's whole delta distribution, median included -- but such
-  // interference does not persist across attempts, while a real hot-path
-  // regression does.  Best-of-N attempts with an early exit once the
-  // estimate is comfortably inside the CI budget keeps the gate's false
-  // failure rate low without losing sensitivity to genuine cost.
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    std::vector<double> deltas, off_ns;
-    for (int b = 0; b < blocks; ++b) {
-      double side_ns[2] = {0, 0};  // [0] = on, [1] = off
-      // Alternate which side goes first so drift within a pair cancels.
-      for (int k = 0; k < 2; ++k) {
-        const bool on = (k == 0) == (b % 2 == 0);
-        tel.stages.set_enabled(on);
-        tel.recorder.set_enabled(on);
-        // One untimed settling round absorbs the toggle transient (cold
-        // histogram/ring lines, branch predictor retraining) so the measured
-        // block sees steady state for its side.
-        bench.round(false);
-        const double ns =
-            static_cast<double>(bench.run_block(rounds_per_block)) /
-            pkts_per_block;
-        side_ns[on ? 0 : 1] = ns;
-      }
-      deltas.push_back(side_ns[0] - side_ns[1]);
-      off_ns.push_back(side_ns[1]);
-    }
-    const double delta = median(std::move(deltas));
-    if (delta < ab.delta_ns_per_pkt) {
-      ab.delta_ns_per_pkt = delta;
-      ab.baseline_ns_per_pkt = median(std::move(off_ns));
-    }
-    if (ab.baseline_ns_per_pkt > 0 &&
-        ab.delta_ns_per_pkt < 0.01 * ab.baseline_ns_per_pkt) {
-      break;  // under 1%: well inside the 2% budget, stop early
-    }
-  }
+  const PairedAb ab = paired_ab(pairs, [&](int arm) {
+    tel.stages.set_enabled(arm == 0);
+    tel.recorder.set_enabled(arm == 0);
+    // One untimed settling round absorbs the toggle transient (cold
+    // histogram/ring lines, branch predictor retraining) so the measured
+    // block sees steady state for its arm.
+    bench.round(false);
+    return static_cast<double>(bench.run_block(rounds_per_block)) /
+           pkts_per_block;
+  });
   tel.stages.set_enabled(true);
   tel.recorder.set_enabled(true);
-  ab.overhead_percent = ab.baseline_ns_per_pkt > 0
-                            ? 100.0 * ab.delta_ns_per_pkt /
-                                  ab.baseline_ns_per_pkt
-                            : 0;
   return ab;
-}
-
-/// Paired A/B of the Distributor's CRC32C integrity gate: alternate
-/// crc_check on/off within one process and compare the median ns/pkt of
-/// the two arms.  Run by `bench_micro --crc-ab`.  The
-/// interleaving makes each arm see the same thermal/load conditions, so the
-/// difference of medians isolates the verify cost even on machines whose
-/// run-to-run ns/pkt noise dwarfs it.
-inline bool run_crc_ab_suite(int pairs = 15) {
-  print_title("CRC32C integrity gate: transfer ns/pkt, verify on vs off");
-  TransferMicroOptions opt;
-  // Back-to-back on/off runs form one pair; the per-pair delta cancels the
-  // slow drift (thermal, background load) that dominates raw ns/pkt, so
-  // the median *delta* is the robust statistic -- not the difference of
-  // the two arms' medians, which drift re-inflates.
-  std::vector<double> deltas, off_ns;
-  for (int i = 0; i < pairs; ++i) {
-    opt.crc_check = true;
-    const double on = run_transfer_micro(opt).ns_per_pkt;
-    opt.crc_check = false;
-    const double off = run_transfer_micro(opt).ns_per_pkt;
-    deltas.push_back(on - off);
-    off_ns.push_back(off);
-  }
-  auto median = [](std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-  };
-  const double delta = median(deltas);
-  const double off = median(off_ns);
-  std::printf("baseline (crc off): %7.2f ns/pkt\n", off);
-  std::printf("verify overhead:    %+7.2f ns/pkt (%+.1f%%), median delta of "
-              "%d paired runs\n",
-              delta, off > 0 ? 100.0 * delta / off : 0.0, pairs);
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -699,40 +653,16 @@ inline bool run_crc_ab_suite(int pairs = 15) {
 struct KernelAbRow {
   std::string kernel;
   std::string isa;
-  double scalar_ns = 0;     ///< best-block ns per call, cap = scalar
-  double vector_ns = 0;     ///< best-block ns per call, ambient cap
-  double speedup = 0;       ///< scalar_ns / vector_ns
   std::uint64_t bytes = 0;  ///< payload bytes per call
+  /// ns per call; arm 0 = scalar cap, arm 1 = ambient cap, so the ratio
+  /// is the vector kernel's speedup.
+  PairedAb ab;
 };
-
-/// Minimum block-average ns per call of `fn` over `blocks` blocks of `iters`
-/// calls.  Means are useless for this on a shared box: preemption arrives in
-/// multi-millisecond slices and run averages of the same kernel wander by
-/// 50% between invocations.  The per-block minimum converges on the
-/// interference-free floor and repeats to a few percent, which is what a CI
-/// ratio gate needs.
-inline double min_block_ns(int iters, int blocks,
-                           const std::function<void()>& fn) {
-  using Clock = std::chrono::steady_clock;
-  double best = std::numeric_limits<double>::infinity();
-  for (int b = 0; b < blocks; ++b) {
-    const auto t0 = Clock::now();
-    for (int i = 0; i < iters; ++i) fn();
-    const auto t1 = Clock::now();
-    const double ns =
-        static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                .count()) /
-        static_cast<double>(iters);
-    if (ns < best) best = ns;
-  }
-  return best;
-}
 
 /// Measure every registered kernel; restores the ambient ISA cap on return
 /// (so a DHL_SIMD override stays respected -- under DHL_SIMD=scalar both
 /// arms run the reference path and every speedup reads ~1.0 by design).
-inline std::vector<KernelAbRow> run_kernel_ab(int blocks = 40) {
+inline std::vector<KernelAbRow> run_kernel_ab(int pairs = 40) {
   namespace simd = common::simd;
   const simd::Isa ambient = simd::cap();
   Xoshiro256 rng{0x5EED5EEDull};
@@ -747,15 +677,16 @@ inline std::vector<KernelAbRow> run_kernel_ab(int blocks = 40) {
   std::vector<KernelAbRow> rows;
   auto measure = [&](const char* kernel, std::uint64_t bytes, int iters,
                      const std::function<void()>& fn) {
-    KernelAbRow r;
-    r.kernel = kernel;
-    r.isa = isa_of(kernel);
-    simd::set_cap(simd::Isa::kScalar);
-    r.scalar_ns = min_block_ns(iters, blocks, fn);
-    simd::set_cap(ambient);
-    r.vector_ns = min_block_ns(iters, blocks, fn);
-    r.speedup = r.vector_ns > 0 ? r.scalar_ns / r.vector_ns : 0;
-    r.bytes = bytes;
+    using Clock = std::chrono::steady_clock;
+    KernelAbRow r{kernel, isa_of(kernel), bytes, {}};
+    r.ab = paired_ab(pairs, [&](int arm) {
+      simd::set_cap(arm == 0 ? simd::Isa::kScalar : ambient);
+      const auto t0 = Clock::now();
+      for (int i = 0; i < iters; ++i) fn();
+      const std::chrono::duration<double, std::nano> ns = Clock::now() - t0;
+      return ns.count() / iters;
+    });
+    simd::set_cap(ambient);  // the next row's isa_of reads under the cap
     rows.push_back(std::move(r));
   };
 
@@ -798,8 +729,8 @@ inline std::vector<KernelAbRow> run_kernel_ab(int blocks = 40) {
                                                      texts.end());
     std::vector<std::vector<match::PatternMatch>> hits(kLanes);
     // Short blocks (~0.5 ms): the slowest kernel here is also the one most
-    // sensitive to co-tenant interference, and a block only contributes a
-    // clean floor sample if the whole block ran undisturbed.
+    // sensitive to co-tenant interference, and short pairs keep a burst of
+    // it inside one pair, whose ratio the median then discards.
     measure("ac_multilane", kLanes * 1500, 40, [&] {
       for (auto& h : hits) h.clear();
       ac.find_all_multi(spans, hits);
@@ -816,17 +747,14 @@ inline std::vector<KernelAbRow> run_kernel_ab(int blocks = 40) {
       common::simd::copy_bytes(dst.data(), src.data(), src.size());
     });
   }
-
-  simd::set_cap(ambient);
   return rows;
 }
 
 /// End-to-end wall-ns/pkt of the fully-quarantined software fallback path,
 /// vector kernels on vs capped to scalar.
 struct FallbackAb {
-  double scalar_ns_per_pkt = 0;
-  double vector_ns_per_pkt = 0;
-  double speedup = 0;
+  /// ns/pkt; arm 0 = scalar cap, arm 1 = ambient cap.
+  PairedAb ab;
   std::uint64_t fallback_pkts = 0;  ///< served via fallback across both arms
   /// Fallback callback invocations across both arms: fallback_pkts /
   /// fallback_calls is the run length the multi-lane kernel actually sees.
@@ -841,7 +769,7 @@ struct FallbackAb {
 /// arms shows how much of the kernel speedup survives runtime framing.
 /// Frame/burst are chosen so each 6 KB batch holds exactly kLanes records:
 /// the fallback sees full lane groups.
-inline FallbackAb run_fallback_quarantine_ab(int blocks = 24,
+inline FallbackAb run_fallback_quarantine_ab(int pairs = 24,
                                              int rounds_per_block = 8) {
   namespace simd = common::simd;
   using netio::Mbuf;
@@ -935,29 +863,18 @@ inline FallbackAb run_fallback_quarantine_ab(int blocks = 24,
             .count());
   };
 
-  const double pkts_per_round = static_cast<double>(kBurst);
-  auto arm_ns_per_pkt = [&]() {
-    double best = std::numeric_limits<double>::infinity();
-    for (int b = 0; b < blocks; ++b) {
-      std::uint64_t ns = 0;
-      for (int r = 0; r < rounds_per_block; ++r) ns += round();
-      const double per_pkt = static_cast<double>(ns) /
-                             (pkts_per_round * rounds_per_block);
-      if (per_pkt < best) best = per_pkt;
-    }
-    return best;
-  };
-
   const simd::Isa ambient = simd::cap();
   FallbackAb ab;
   for (int i = 0; i < 4; ++i) round();  // warmup (also primes quarantine)
-  simd::set_cap(simd::Isa::kScalar);
-  ab.scalar_ns_per_pkt = arm_ns_per_pkt();
+  const double pkts_per_block =
+      static_cast<double>(kBurst) * rounds_per_block;
+  ab.ab = paired_ab(pairs, [&](int arm) {
+    simd::set_cap(arm == 0 ? simd::Isa::kScalar : ambient);
+    std::uint64_t ns = 0;
+    for (int r = 0; r < rounds_per_block; ++r) ns += round();
+    return static_cast<double>(ns) / pkts_per_block;
+  });
   simd::set_cap(ambient);
-  ab.vector_ns_per_pkt = arm_ns_per_pkt();
-  ab.speedup = ab.vector_ns_per_pkt > 0
-                   ? ab.scalar_ns_per_pkt / ab.vector_ns_per_pkt
-                   : 0;
   ab.fallback_pkts = static_cast<std::uint64_t>(
       rt.telemetry().metrics.snapshot().sum("dhl.fallback.pkts"));
   ab.fallback_calls = calls;
@@ -969,24 +886,25 @@ inline FallbackAb run_fallback_quarantine_ab(int blocks = 24,
 /// JSON writer can embed them; `bench_micro --kernel-ab` runs exactly this.
 inline std::vector<KernelAbRow> run_kernel_ab_suite(FallbackAb* fb_out =
                                                         nullptr) {
-  print_title("CPU vector kernels: scalar vs dispatched ISA (best-block ns)");
+  print_title("CPU vector kernels: scalar vs dispatched ISA (median ns)");
   const std::vector<KernelAbRow> rows = run_kernel_ab();
-  std::printf("%-14s %-8s %12s %12s %9s %8s\n", "kernel", "isa", "scalar-ns",
-              "vector-ns", "speedup", "bytes");
-  print_rule(68);
+  std::printf("%-14s %-8s %12s %12s %9s %15s %8s\n", "kernel", "isa",
+              "scalar-ns", "vector-ns", "speedup", "[q1, q3]", "bytes");
+  print_rule(84);
   for (const KernelAbRow& r : rows) {
-    std::printf("%-14s %-8s %12.1f %12.1f %8.2fx %8llu\n", r.kernel.c_str(),
-                r.isa.c_str(), r.scalar_ns, r.vector_ns, r.speedup,
+    std::printf("%-14s %-8s %12.1f %12.1f %8.2fx  [%5.2f, %5.2f] %8llu\n",
+                r.kernel.c_str(), r.isa.c_str(), r.ab.cost[0], r.ab.cost[1],
+                r.ab.ratio, r.ab.ratio_q1, r.ab.ratio_q3,
                 static_cast<unsigned long long>(r.bytes));
   }
 
   print_title("quarantine fallback path: e2e ns/pkt, scalar cap vs native");
   const FallbackAb fb = run_fallback_quarantine_ab();
-  std::printf("scalar cap:  %8.1f ns/pkt\n", fb.scalar_ns_per_pkt);
+  std::printf("scalar cap:  %8.1f ns/pkt\n", fb.ab.cost[0]);
   std::printf(
-      "native ISA:  %8.1f ns/pkt  (%.2fx, %llu pkts via fallback in %llu "
-      "calls)\n",
-      fb.vector_ns_per_pkt, fb.speedup,
+      "native ISA:  %8.1f ns/pkt  (%.2fx [%.2f, %.2f], %llu pkts via "
+      "fallback in %llu calls)\n",
+      fb.ab.cost[1], fb.ab.ratio, fb.ab.ratio_q1, fb.ab.ratio_q3,
       static_cast<unsigned long long>(fb.fallback_pkts),
       static_cast<unsigned long long>(fb.fallback_calls));
   if (fb_out != nullptr) *fb_out = fb;
@@ -995,7 +913,7 @@ inline std::vector<KernelAbRow> run_kernel_ab_suite(FallbackAb* fb_out =
 
 inline bool write_transfer_micro_json(
     const std::string& path, const TransferMicroOptions& opt,
-    const TransferMicroResult& zc, const IntrospectionAb* ab = nullptr,
+    const TransferMicroResult& zc, const PairedAb* intro = nullptr,
     const std::vector<KernelAbRow>* kernels = nullptr,
     const FallbackAb* fb = nullptr) {
   std::ofstream f{path};
@@ -1024,13 +942,23 @@ inline bool write_transfer_micro_json(
   if (!zc.stage_latency_json.empty()) {
     f << "  \"stage_latency\": " << zc.stage_latency_json << ",\n";
   }
-  if (ab != nullptr) {
+  // Every A/B row reports the quartiles of its per-pair ratios next to the
+  // median, so a reader sees the spread behind the gated number.
+  auto quartiles = [](const PairedAb& ab) {
+    std::ostringstream os;
+    os << std::fixed << std::setprecision(4) << "\"ratio_q1\": " << ab.ratio_q1
+       << ", \"ratio_q3\": " << ab.ratio_q3;
+    return os.str();
+  };
+  if (intro != nullptr) {
+    const double baseline = intro->cost[1];
     f << "  \"introspection\": {\n"
-      << "    \"baseline_ns_per_pkt\": " << ab->baseline_ns_per_pkt << ",\n"
-      << "    \"delta_ns_per_pkt\": " << ab->delta_ns_per_pkt << ",\n"
+      << "    \"baseline_ns_per_pkt\": " << baseline << ",\n"
+      << "    \"delta_ns_per_pkt\": " << baseline * (intro->ratio - 1) << ",\n"
       // CI's Release perf gate asserts this stays under 2%.
-      << "    \"overhead_percent\": " << ab->overhead_percent << ",\n"
-      << "    \"pairs\": " << ab->pairs << "\n"
+      << "    \"overhead_percent\": " << 100 * (intro->ratio - 1) << ",\n"
+      << "    " << quartiles(*intro) << ",\n"
+      << "    \"pairs\": " << intro->pairs << "\n"
       << "  },\n";
   }
   // Per-kernel scalar-vs-vector speedups (run_kernel_ab): CI's Release
@@ -1040,18 +968,20 @@ inline bool write_transfer_micro_json(
     for (std::size_t i = 0; i < kernels->size(); ++i) {
       const KernelAbRow& r = (*kernels)[i];
       f << "    {\"kernel\": \"" << r.kernel << "\", \"isa\": \"" << r.isa
-        << "\", \"scalar_ns\": " << r.scalar_ns
-        << ", \"vector_ns\": " << r.vector_ns
-        << ", \"speedup\": " << r.speedup << ", \"bytes\": " << r.bytes
-        << "}" << (i + 1 < kernels->size() ? "," : "") << "\n";
+        << "\", \"scalar_ns\": " << r.ab.cost[0]
+        << ", \"vector_ns\": " << r.ab.cost[1]
+        << ", \"speedup\": " << r.ab.ratio << ", " << quartiles(r.ab)
+        << ", \"bytes\": " << r.bytes << "}"
+        << (i + 1 < kernels->size() ? "," : "") << "\n";
     }
     f << "  ],\n";
   }
   if (fb != nullptr) {
     f << "  \"fallback\": {\n"
-      << "    \"scalar_ns_per_pkt\": " << fb->scalar_ns_per_pkt << ",\n"
-      << "    \"vector_ns_per_pkt\": " << fb->vector_ns_per_pkt << ",\n"
-      << "    \"speedup\": " << fb->speedup << ",\n"
+      << "    \"scalar_ns_per_pkt\": " << fb->ab.cost[0] << ",\n"
+      << "    \"vector_ns_per_pkt\": " << fb->ab.cost[1] << ",\n"
+      << "    \"speedup\": " << fb->ab.ratio << ",\n"
+      << "    " << quartiles(fb->ab) << ",\n"
       << "    \"fallback_pkts\": " << fb->fallback_pkts << ",\n"
       // CI's Release perf gate asserts fallback_pkts / fallback_calls >= 8:
       // the A/B only measures the vector kernel if it sees lane groups.
@@ -1090,13 +1020,14 @@ inline bool run_transfer_micro_suite(const std::string& out_path) {
               zc.e2e_p50_ns, zc.e2e_p99_ns, zc.e2e_p999_ns);
 
   print_title("introspection layer: ns/pkt overhead, on vs off");
-  const IntrospectionAb ab = run_introspection_ab();
-  std::printf("baseline (off):      %7.2f ns/pkt\n", ab.baseline_ns_per_pkt);
-  std::printf("introspection cost:  %+7.2f ns/pkt (%+.2f%%), best median of "
-              "%d on/off pairs\n",
-              ab.delta_ns_per_pkt, ab.overhead_percent, ab.pairs);
+  const PairedAb intro = run_introspection_ab();
+  std::printf("baseline (off):      %7.2f ns/pkt\n", intro.cost[1]);
+  std::printf("introspection cost:  %+7.2f%% (on/off ratio %.4f [%.4f, "
+              "%.4f]), median of %d interleaved pairs\n",
+              100 * (intro.ratio - 1), intro.ratio, intro.ratio_q1,
+              intro.ratio_q3, intro.pairs);
 
-  if (!write_transfer_micro_json(out_path, opt, zc, &ab, &kernels, &fb)) {
+  if (!write_transfer_micro_json(out_path, opt, zc, &intro, &kernels, &fb)) {
     std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
     return false;
   }

@@ -6,13 +6,16 @@
 //
 // With `--micro-out=<path>` the binary instead runs the transfer-layer
 // micro-bench (host ns/pkt of the Packer and Distributor polls on the
-// zero-copy batch path, see bench_common.hpp) and writes a machine-readable
-// JSON -- the artifact behind BENCH_micro.json and the CI perf smoke.
-// `--crc-ab` runs the interleaved on/off pairing that isolates the
-// Distributor CRC gate's cost on the transfer path.
+// zero-copy batch path, see bench_common.hpp) plus the host A/Bs below, and
+// writes a machine-readable JSON -- the artifact behind BENCH_micro.json and
+// the CI perf smoke.
 // `--kernel-ab` pairs each registered CPU vector kernel (common/simd.hpp)
 // against its scalar reference and measures the quarantine fallback path
 // end to end under both ISA caps.
+// Every A/B (introspection on/off, kernel and fallback scalar/native) is
+// one interleaved paired-ratio measurement, `paired_ab` in bench_common.hpp:
+// it reports each arm's median cost and the median and quartiles of the
+// per-pair ratio.
 
 #include <benchmark/benchmark.h>
 
@@ -209,9 +212,6 @@ int main(int argc, char** argv) {
     return dhl::bench::run_transfer_micro_suite(micro_out) ? 0 : 1;
   }
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--crc-ab") == 0) {
-      return dhl::bench::run_crc_ab_suite() ? 0 : 1;
-    }
     if (std::strcmp(argv[i], "--kernel-ab") == 0) {
       return dhl::bench::run_kernel_ab_suite().empty() ? 1 : 0;
     }

@@ -33,7 +33,7 @@ Distributor::Distributor(sim::Simulator& simulator,
 
 bool Distributor::batch_intact(const fpga::DmaBatch& batch) const {
   if (batch.wire_corrupt) return false;
-  if (config_.crc_check && !batch.verify_crc()) return false;
+  if (!batch.verify_crc()) return false;
   // Structural pre-pass: the hot loop in poll() must never see a batch it
   // cannot walk end-to-end, or records and parked mbufs desynchronize.
   const auto& pkts = batch.pkts();
@@ -118,7 +118,7 @@ sim::PollResult Distributor::poll(int socket) {
   DeliveryBuffer* deliveries = nullptr;
 
   std::uint32_t drained = 0;
-  for (; drained < config_.rx_burst && state.pending() > 0; ++drained) {
+  for (; drained < kRxBurst && state.pending() > 0; ++drained) {
     fpga::DmaBatchPtr batch = std::move(state.slot(state.head++));
     metrics_.batches_from_fpga->add(1);
     const double batch_start_cycles = cycles;

@@ -27,6 +27,8 @@ class Distributor {
   /// Initial per-socket completion-ring slots (a power of two); the ring
   /// doubles whenever a delivery finds it full.
   static constexpr std::size_t kInitialCompletionSlots = 1024;
+  /// Batches the RX core drains per poll.
+  static constexpr std::uint32_t kRxBurst = 8;
 
   Distributor(sim::Simulator& simulator, const RuntimeConfig& config,
               telemetry::Telemetry& telemetry, RuntimeMetrics& metrics,
@@ -103,9 +105,9 @@ class Distributor {
   DeliveryBuffer* take_buffer(int socket);
 
   /// Integrity gate: true when the batch's wire bytes are trustworthy --
-  /// not flagged corrupt in flight, checksum matches (when crc_check is
-  /// on), every record parses, the record count equals the parked-mbuf
-  /// count, and no record claims more payload than its mbuf can hold.
+  /// not flagged corrupt in flight, checksum matches, every record parses,
+  /// the record count equals the parked-mbuf count, and no record claims
+  /// more payload than its mbuf can hold.
   bool batch_intact(const fpga::DmaBatch& batch) const;
   /// Drop a batch that failed the gate: retire its outstanding bytes, note
   /// the replica failure, drop the parked mbufs at the kCrc site, recycle.

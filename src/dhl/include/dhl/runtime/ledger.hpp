@@ -15,8 +15,8 @@
 //
 // The ledger is compiled to no-ops when DHL_LEDGER=0 (the Release
 // default): the class collapses to empty inline methods so every call
-// site stays unconditional and free.  In ledger-compiled builds,
-// RuntimeConfig::ledger gates it at runtime (default on).
+// site stays unconditional and free.  DHL_LEDGER is the only switch: a
+// ledger-compiled runtime always tracks.
 
 #include <cstdint>
 #include <functional>
@@ -255,17 +255,14 @@ using LedgerTenantNameFn = std::function<std::string(std::uint8_t)>;
 
 class LifecycleLedger final : public netio::MbufLifecycleObserver {
  public:
-  /// `enabled` comes from RuntimeConfig::ledger.  When enabled, the ledger
-  /// installs itself as the process-wide mbuf release observer (single
+  /// Installs itself as the process-wide mbuf release observer (single
   /// slot: a second concurrent runtime keeps its ledger but loses
   /// premature-release detection, with a warning).
-  LifecycleLedger(bool enabled, telemetry::Telemetry& telemetry);
+  explicit LifecycleLedger(telemetry::Telemetry& telemetry);
   ~LifecycleLedger() override;
 
   LifecycleLedger(const LifecycleLedger&) = delete;
   LifecycleLedger& operator=(const LifecycleLedger&) = delete;
-
-  bool enabled() const { return enabled_; }
 
   /// A packet entered the runtime (Packer IBQ dequeue).  Opens a
   /// lifecycle; counts nic.rx when the mbuf carries an RX timestamp.
@@ -301,7 +298,6 @@ class LifecycleLedger final : public netio::MbufLifecycleObserver {
   /// double terminal or an untracked packet.
   Record* terminal_record(const netio::Mbuf* m);
 
-  bool enabled_;
   bool installed_ = false;
   std::unordered_map<const netio::Mbuf*, Record> records_;
 
@@ -336,12 +332,11 @@ class LifecycleLedger final : public netio::MbufLifecycleObserver {
 /// unconditional; the optimizer erases them from the Release hot path.
 class LifecycleLedger {
  public:
-  LifecycleLedger(bool, telemetry::Telemetry&) {}
+  explicit LifecycleLedger(telemetry::Telemetry&) {}
 
   LifecycleLedger(const LifecycleLedger&) = delete;
   LifecycleLedger& operator=(const LifecycleLedger&) = delete;
 
-  bool enabled() const { return false; }
   void on_ingress(const netio::Mbuf*) {}
   void on_stage(const netio::Mbuf*, LedgerStage) {}
   void on_delivered(const netio::Mbuf*) {}

@@ -114,8 +114,6 @@ struct RuntimeConfig {
   std::uint32_t obq_size = 8192;
   /// Packets the TX core dequeues from an IBQ per iteration.
   std::uint32_t ibq_burst = 64;
-  /// Batches the RX core drains per iteration.
-  std::uint32_t rx_burst = 8;
   /// Paper IV-A2: allocate DMA buffers/queues on the FPGA's NUMA node.
   /// When false, everything lives on socket 0 and transfers to FPGAs on
   /// other sockets pay the remote penalty (the Fig 4 "different NUMA node"
@@ -124,23 +122,12 @@ struct RuntimeConfig {
   /// How the Packer picks a replica when a hardware function is loaded on
   /// several PR regions / FPGAs.
   DispatchPolicyKind dispatch_policy = DispatchPolicyKind::kNumaLocal;
-  /// Verify the per-transfer CRC32C the DMA engine stamps over each
-  /// batch's wire bytes before the Distributor decapsulates it.  A failed
-  /// check drops the whole batch (counted: dhl.batch.crc_drops) instead of
-  /// desynchronizing records and mbufs.  Off = trust the wire, keep only
-  /// the structural parse checks (the pre-PR-4 behaviour).
-  bool crc_check = true;
   /// When true, a replica whose outstanding bytes exceed the threshold at
   /// flush time triggers loading one more replica of its hardware function
   /// (up to max_auto_replicas), so a hot function spreads across regions.
   bool auto_replicate = false;
   std::uint64_t auto_replicate_threshold_bytes = 64 * 1024;
   std::uint32_t max_auto_replicas = 2;
-  /// Packet-lifecycle conservation ledger (DESIGN.md section 3.4): track
-  /// every mbuf through the pipeline stages and audit conservation at
-  /// teardown.  Only effective in ledger-compiled builds (DHL_LEDGER=1,
-  /// i.e. every build type except Release); compiled to no-ops otherwise.
-  bool ledger = true;
   /// Shared telemetry context; when null the runtime creates a private one.
   telemetry::TelemetryPtr telemetry;
 };

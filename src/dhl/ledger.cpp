@@ -62,10 +62,7 @@ std::string LedgerAudit::to_string() const {
 
 #if DHL_LEDGER
 
-LifecycleLedger::LifecycleLedger(bool enabled,
-                                 telemetry::Telemetry& telemetry)
-    : enabled_{enabled} {
-  if (!enabled_) return;
+LifecycleLedger::LifecycleLedger(telemetry::Telemetry& telemetry) {
   if (netio::mbuf_observer() == nullptr) {
     netio::set_mbuf_observer(this);
     installed_ = true;
@@ -98,7 +95,7 @@ void LifecycleLedger::set_tenant_resolver(LedgerTenantIdFn id_of,
 }
 
 void LifecycleLedger::on_ingress(const netio::Mbuf* m) {
-  if (!enabled_ || m == nullptr) return;
+  if (m == nullptr) return;
   auto [it, inserted] = records_.try_emplace(m);
   if (!inserted) {
     if (!it->second.closed) {
@@ -129,7 +126,7 @@ void LifecycleLedger::on_ingress(const netio::Mbuf* m) {
 }
 
 void LifecycleLedger::on_stage(const netio::Mbuf* m, LedgerStage stage) {
-  if (!enabled_ || m == nullptr) return;
+  if (m == nullptr) return;
   const auto it = records_.find(m);
   if (it == records_.end() || it->second.closed) return;
   if (it->second.stage == stage) return;  // idempotent (e.g. DMA retries)
@@ -154,7 +151,7 @@ LifecycleLedger::Record* LifecycleLedger::terminal_record(
 }
 
 void LifecycleLedger::on_delivered(const netio::Mbuf* m) {
-  if (!enabled_ || m == nullptr) return;
+  if (m == nullptr) return;
   Record* r = terminal_record(m);
   if (r == nullptr) return;
   r->closed = true;
@@ -168,7 +165,7 @@ void LifecycleLedger::on_delivered(const netio::Mbuf* m) {
 }
 
 void LifecycleLedger::on_drop(const netio::Mbuf* m, LedgerDrop site) {
-  if (!enabled_ || m == nullptr) return;
+  if (m == nullptr) return;
   Record* r = terminal_record(m);
   if (r == nullptr) return;
   ++tenant_dropped_[r->tenant];
@@ -181,7 +178,7 @@ void LifecycleLedger::on_drop(const netio::Mbuf* m, LedgerDrop site) {
 }
 
 void LifecycleLedger::on_mbuf_release(netio::Mbuf& mbuf, bool last_ref) {
-  if (!enabled_ || !last_ref) return;
+  if (!last_ref) return;
   const auto it = records_.find(&mbuf);
   if (it == records_.end()) return;  // not a runtime-tracked packet
   if (!it->second.closed) {

@@ -16,7 +16,7 @@ DhlRuntime::DhlRuntime(sim::Simulator& simulator, RuntimeConfig config,
       config_{std::move(config)},
       telemetry_{telemetry::ensure(config_.telemetry)},
       table_{simulator, std::move(database), std::move(fpgas), *telemetry_},
-      ledger_{config_.ledger, *telemetry_},
+      ledger_{*telemetry_},
       policy_{make_dispatch_policy(config_.dispatch_policy)},
       tenants_{&telemetry_->metrics},
       metrics_{simulator, *telemetry_, ledger_, tenants_, nfs_},

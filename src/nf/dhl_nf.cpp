@@ -84,7 +84,7 @@ netio::NicPort* DhlOffloadNf::port_by_id(std::uint16_t port_id) {
   for (netio::NicPort* p : ports_) {
     if (p->port_id() == port_id) return p;
   }
-  return ports_.front();
+  return nullptr;
 }
 
 sim::PollResult DhlOffloadNf::ingress_poll(std::size_t core_index) {
@@ -118,12 +118,19 @@ sim::PollResult DhlOffloadNf::ingress_poll(std::size_t core_index) {
           m->set_acc_id(handle_.acc_id);
           pkts[out++] = m;
           break;
-        case Verdict::kBypass:
+        case Verdict::kBypass: {
           // No deep processing needed: transmit in the clear.
+          netio::NicPort* tx = port_by_id(m->port());
+          if (tx == nullptr) {
+            ++stats_.bad_port_drops;
+            m->release();
+            break;
+          }
           cycles += cpu.nic_rxtx_per_pkt_cycles;
-          port_by_id(m->port())->tx_burst(&m, 1);
+          tx->tx_burst(&m, 1);
           ++stats_.tx_pkts;
           break;
+        }
         case Verdict::kDrop:
           ++stats_.prep_drops;
           m->release();
@@ -174,8 +181,13 @@ sim::PollResult DhlOffloadNf::egress_poll() {
     Mbuf* m = pkts[i];
     cycles += post_cost_(*m);
     if (post_(*m) != Verdict::kDrop) {
-      cycles += cpu.nic_rxtx_per_pkt_cycles;
       netio::NicPort* port = port_by_id(m->port());
+      if (port == nullptr) {
+        ++stats_.bad_port_drops;
+        m->release();
+        continue;
+      }
+      cycles += cpu.nic_rxtx_per_pkt_cycles;
       sim_.schedule_after(config_.timing.cpu.core_clock.cycles(cycles),
                           [this, port, m] {
                             Mbuf* pkt = m;

@@ -51,6 +51,7 @@ struct DhlNfStats {
   std::uint64_t received = 0;
   std::uint64_t post_drops = 0;  // post verdict kDrop (e.g. NIDS drop rule)
   std::uint64_t tx_pkts = 0;
+  std::uint64_t bad_port_drops = 0;  // TX to a port id the NF doesn't own
 };
 
 class DhlOffloadNf {
@@ -80,6 +81,8 @@ class DhlOffloadNf {
  private:
   sim::PollResult ingress_poll(std::size_t core_index);
   sim::PollResult egress_poll();
+  /// The NF's port for `port_id`, or nullptr when it owns no such port
+  /// (the packet must be counted and dropped, never mis-TXed).
   netio::NicPort* port_by_id(std::uint16_t port_id);
 
   sim::Simulator& sim_;

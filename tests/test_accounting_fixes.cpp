@@ -256,14 +256,14 @@ TEST(AccountingFixes, StaleGenerationNotBlamedOnRecycledSlot) {
 TEST(AccountingFixes, LifecycleSpanStartsAtFirstPacketEnqueue) {
   RuntimeConfig cfg;
   cfg.num_sockets = 1;
-  // Hand-built batches bypass the Packer, so the packet was never tracked;
-  // keep the ledger out of this test.
-  cfg.ledger = false;
   Harness h{cfg};
   const netio::NfId nf = h.rt->register_nf("nf0", 0);
   h.rt->telemetry().trace.enable();
 
   Mbuf* m = h.make_pkt(nf, 7, 64, 0x11);
+  // The hand-built batch bypasses the Packer, so open the packet's
+  // lifecycle here, as the Packer's IBQ dequeue would.
+  h.rt->ledger().on_ingress(m);
   auto batch = std::make_unique<fpga::DmaBatch>(7);
   batch->append(nf, m->payload(), m);
   batch->created_at = microseconds(1);
@@ -281,6 +281,7 @@ TEST(AccountingFixes, LifecycleSpanStartsAtFirstPacketEnqueue) {
   ASSERT_NE(it, events.end());
   EXPECT_EQ(it->start, microseconds(3));
   EXPECT_EQ(h.drain_obq(nf), 1u);
+  h.expect_clean_audit();
 }
 
 // --- Distributor delivery-buffer recycling --------------------------------

@@ -190,6 +190,49 @@ TEST(DhlOffload, PerPortCoreModeServesBothPorts) {
   EXPECT_NEAR(forwarded_wire_gbps(*b, 512, milliseconds(3)), 8.0, 0.5);
 }
 
+TEST(DhlOffload, BadPortIsCountedAndDroppedNotMisTxed) {
+  // Prep steers every packet to a port id this NF does not own; half
+  // bypass the FPGA, half take the offload round trip.  Both TX paths must
+  // drop and count, never fall back to the NF's first port.
+  Testbed tb;
+  auto* port = tb.add_port("p", Bandwidth::gbps(10));
+  auto& rt = tb.init_runtime();
+  std::uint64_t bypassed = 0;
+  std::uint64_t seq = 0;
+  DhlNfConfig cfg;
+  cfg.timing = tb.timing();
+  cfg.hf_name = "loopback";
+  DhlOffloadNf nf{tb.sim(),
+                  cfg,
+                  {port},
+                  rt,
+                  [&](netio::Mbuf& m) {
+                    m.set_port(77);
+                    if (seq++ % 2 == 0) return Verdict::kForward;
+                    ++bypassed;
+                    return Verdict::kBypass;
+                  },
+                  flat_cost(10),
+                  [](netio::Mbuf&) { return Verdict::kForward; },
+                  flat_cost(10)};
+  tb.run_for(milliseconds(30));
+  rt.start();
+  nf.start();
+  netio::TrafficConfig traffic;
+  traffic.frame_len = 256;
+  port->start_traffic(traffic, 0.3);
+  tb.measure(milliseconds(1), milliseconds(2));
+  port->stop_traffic();
+  tb.run_for(milliseconds(1));
+
+  EXPECT_GT(bypassed, 0u);
+  EXPECT_GT(nf.stats().received, 0u);
+  EXPECT_EQ(nf.stats().bad_port_drops, bypassed + nf.stats().received);
+  EXPECT_EQ(nf.stats().tx_pkts, 0u);
+  EXPECT_EQ(port->tx_meter().frames(), 0u);
+  EXPECT_EQ(tb.pool(0).in_use(), 0u);  // every dropped packet was freed
+}
+
 TEST(Forwarders, L3fwdDropsOnLookupMiss) {
   Testbed tb;
   auto* port = tb.add_port("p", Bandwidth::gbps(10));
